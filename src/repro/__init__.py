@@ -18,8 +18,6 @@ Subpackages:
   serving subsystems;
 - :mod:`repro.serve` — resilient online serving (deadlines, circuit
   breaker, degradation ladder, validated hot reload);
-- :mod:`repro.train` — shared-memory data-parallel training (worker
-  replicas over a shared parameter arena, bit-deterministic epochs);
 - :mod:`repro.bench` — the experiment harness regenerating the paper's
   tables and figures.
 
@@ -51,12 +49,11 @@ from . import (  # noqa: F401
     perf,
     serve,
     testing,
-    train,
 )
 from .io import load_model, save_model
 
 __all__ = [
     "bench", "ckpt", "core", "data", "eval", "load_model", "models",
-    "nn", "obs", "perf", "save_model", "serve", "testing", "train",
+    "nn", "obs", "perf", "save_model", "serve", "testing",
     "__version__",
 ]

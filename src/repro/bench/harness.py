@@ -46,17 +46,10 @@ class BenchSettings:
     """Rolling retention for snapshots (newest kept, plus the best)."""
     resume_from: Optional[str] = None
     """``"auto"`` or a checkpoint path/directory to resume from."""
-    fused: bool = False
-    """Train under :func:`repro.nn.fusion.fused_mode` (bit-identical to
-    the eager tape; see the differential suite)."""
-    dp_workers: int = 0
-    """Data-parallel worker count (``0`` keeps the serial loops)."""
-    dp_backend: str = "fork"
-    """``"fork"`` or ``"inline"`` (see :mod:`repro.train.parallel`)."""
 
     def train_overrides(self) -> Dict[str, object]:
-        """Checkpoint/resume and execution-mode keywords to forward
-        into a recipe's train config (empty at the defaults)."""
+        """Checkpoint/resume keywords to forward into a recipe's train
+        config (empty at the defaults)."""
         overrides: Dict[str, object] = {}
         if self.checkpoint_dir is not None:
             overrides.update(
@@ -66,11 +59,6 @@ class BenchSettings:
             )
         if self.resume_from is not None:
             overrides["resume_from"] = self.resume_from
-        if self.fused:
-            overrides["fused"] = True
-        if self.dp_workers:
-            overrides["dp_workers"] = self.dp_workers
-            overrides["dp_backend"] = self.dp_backend
         return overrides
 
 

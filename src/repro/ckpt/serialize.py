@@ -28,12 +28,9 @@ TREE_KEY = "__tree__"
 FORMAT_VERSION = 1
 
 #: Config fields that never affect the optimisation trajectory and are
-#: therefore excluded from :func:`config_fingerprint` (a resumed run may
-#: legitimately extend the epoch budget or toggle logging/checkpointing).
-#: The execution-mode fields (``fused``, ``dp_workers``, ``dp_backend``)
-#: are volatile by design: fused kernels are bit-identical to the eager
-#: tape and data-parallel epochs adopt worker-0 state at the boundary,
-#: so a snapshot written in any mode resumes into any other.
+#: therefore excluded from :func:`config_fingerprint`: a resumed run may
+#: legitimately extend the epoch budget, toggle logging, or move or
+#: re-point its checkpointing.
 VOLATILE_CONFIG_FIELDS = frozenset(
     {
         "epochs",
@@ -42,9 +39,6 @@ VOLATILE_CONFIG_FIELDS = frozenset(
         "checkpoint_every",
         "keep_last",
         "resume_from",
-        "fused",
-        "dp_workers",
-        "dp_backend",
     }
 )
 

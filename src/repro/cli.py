@@ -60,21 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
              "file/directory",
     )
     run.add_argument(
-        "--fused", action="store_true",
-        help="run training under the fused autograd kernels "
-             "(repro.nn.fusion; bit-identical to the eager tape)",
-    )
-    run.add_argument(
-        "--dp-workers", type=int, default=0, metavar="W",
-        help="data-parallel training workers (repro.train.parallel); "
-             "0 keeps the serial loop",
-    )
-    run.add_argument(
-        "--dp-backend", default="fork", choices=("fork", "inline"),
-        help="data-parallel backend: shared-memory forked workers or "
-             "the in-process equivalent",
-    )
-    run.add_argument(
         "--retrieval", action="store_true",
         help="after training, also evaluate through the cluster-routed "
              "approximate index and print the exact-vs-approximate "
@@ -125,9 +110,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         keep_last=args.keep_last,
         resume_from=args.resume,
-        fused=args.fused,
-        dp_workers=args.dp_workers,
-        dp_backend=args.dp_backend,
     )
     try:
         if args.retrieval:

@@ -112,13 +112,12 @@ def new_rlock(name: str = "rlock") -> Any:
 def require_fork_start_method(feature: str) -> None:
     """Fail fast when the platform cannot ``fork``.
 
-    The serving process pool and the data-parallel trainer rely on
-    copy-on-write ``fork`` semantics: workers inherit live numpy
-    arrays, samplers, and shared-memory bindings without pickling.
-    Under ``spawn`` (the only method on some platforms) a child
-    re-imports the world instead, so none of that state would exist
-    and the worker would train a different model than the parent
-    thinks it launched.
+    The serving process pool relies on copy-on-write ``fork``
+    semantics: workers inherit the live model builder and its numpy
+    arrays without pickling.  Under ``spawn`` (the only method on some
+    platforms) a child re-imports the world instead, so none of that
+    state would exist and the worker would serve a different model
+    than the parent thinks it launched.
 
     Args:
         feature: human-readable name of the subsystem asking, used in
@@ -135,7 +134,7 @@ def require_fork_start_method(feature: str) -> None:
         raise RuntimeError(
             f"{feature} requires the 'fork' multiprocessing start method, "
             f"but this platform only offers {available}; run with the "
-            "'inline' backend (or on a fork-capable OS) instead"
+            "in-process 'thread' backend (or on a fork-capable OS) instead"
         )
 
 

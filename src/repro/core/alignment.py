@@ -19,7 +19,7 @@ via the ``positive_masks`` argument.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -385,6 +385,33 @@ class IntentAlignment(Module):
             return view
         return self._heads[intent](view)
 
+    def intent_projections(
+        self,
+        intent: int,
+        batch_size: int,
+        user_aggregation: Tensor,
+        item_embeddings: Tensor,
+        tag_aggregation_all: Tensor,
+        tag_counts: np.ndarray,
+    ) -> Tuple[Tensor, Tensor]:
+        """The two L2-normalised projected views of one intent.
+
+        The paper maximises *cosine* similarity (Section IV.B.2), so
+        both projected views are L2-normalised before they are compared.
+        """
+        k_count = self.config.num_intents
+        rows = np.arange(batch_size) * k_count + intent
+        has_tags = tag_counts[:, intent] > 0
+        u_view = intent_view(
+            user_aggregation, intent, k_count, dim=self.intent_dim
+        )
+        z_view = self.item_tag_view(
+            intent, item_embeddings, tag_aggregation_all[rows], has_tags
+        )
+        u_proj = F.l2_normalize(self.project(intent, u_view))
+        z_proj = F.l2_normalize(self.project(intent, z_view))
+        return u_proj, z_proj
+
     # ------------------------------------------------------------------
     # loss
     # ------------------------------------------------------------------
@@ -422,12 +449,17 @@ class IntentAlignment(Module):
             if config.use_relatedness
             else np.ones((batch_size, k_count)) / k_count
         )
-        if (
-            fusion.is_fused()
-            and config.alignment_objective != "byol"
-            and batch_size > 0
-        ):
-            return self._alignment_loss_fused(
+        if config.alignment_objective == "byol":
+            total = self._byol_loss(
+                batch_size,
+                user_aggregation,
+                item_embeddings,
+                tag_aggregation_all,
+                tag_counts,
+                weights,
+            )
+        else:
+            total = self._info_nce_loss(
                 batch_size,
                 user_aggregation,
                 item_embeddings,
@@ -436,42 +468,33 @@ class IntentAlignment(Module):
                 weights,
                 positive_masks,
             )
-        total = None
-        for k in range(k_count):
-            rows = np.arange(batch_size) * k_count + k
-            tag_agg = tag_aggregation_all[rows]
-            has_tags = tag_counts[:, k] > 0
-            u_view = intent_view(
-                user_aggregation, k, k_count, dim=self.intent_dim
-            )
-            z_view = self.item_tag_view(k, item_embeddings, tag_agg, has_tags)
-            # The paper maximises *cosine* similarity (Section IV.B.2),
-            # so both projected views are L2-normalised before the logits.
-            u_proj = F.l2_normalize(self.project(k, u_view))
-            z_proj = F.l2_normalize(self.project(k, z_view))
-            mask = positive_masks[k] if positive_masks is not None else None
-            row_w = weights[:, k]
-            if config.alignment_objective == "byol":
-                term = self._byol_term(k, u_proj, z_proj, row_w)
-            else:
-                # Bidirectional InfoNCE (Eq. 11): u2it uses u as query,
-                # it2u uses z as query; the mask transposes accordingly.
-                u2it = F.info_nce(
-                    u_proj, z_proj, config.tau,
-                    row_weights=row_w, positive_mask=mask,
-                )
-                it2u = F.info_nce(
-                    z_proj,
-                    u_proj,
-                    config.tau,
-                    row_weights=row_w,
-                    positive_mask=mask.T if mask is not None else None,
-                )
-                term = u2it + it2u
-            total = term if total is None else total + term
         return total * (1.0 / (2.0 * k_count * max(batch_size, 1)))
 
-    def _alignment_loss_fused(
+    def _byol_loss(
+        self,
+        batch_size: int,
+        user_aggregation: Tensor,
+        item_embeddings: Tensor,
+        tag_aggregation_all: Tensor,
+        tag_counts: np.ndarray,
+        weights: np.ndarray,
+    ) -> Tensor:
+        """Sum of the per-intent :meth:`_byol_term` losses (unnormalised)."""
+        total = None
+        for k in range(self.config.num_intents):
+            u_proj, z_proj = self.intent_projections(
+                k,
+                batch_size,
+                user_aggregation,
+                item_embeddings,
+                tag_aggregation_all,
+                tag_counts,
+            )
+            term = self._byol_term(k, u_proj, z_proj, weights[:, k])
+            total = term if total is None else total + term
+        return total
+
+    def _info_nce_loss(
         self,
         batch_size: int,
         user_aggregation: Tensor,
@@ -481,14 +504,15 @@ class IntentAlignment(Module):
         weights: np.ndarray,
         positive_masks: Optional[Sequence[Optional[np.ndarray]]],
     ) -> Tensor:
-        """Eqs. (10)-(14) with the K per-intent projections batched.
+        """Bidirectional InfoNCE summed over intents (Eqs. 10-14, 17).
 
         The per-intent tag projections and both projection-head layers
         run as single block-diagonal :func:`repro.nn.fusion.batched_linear`
         matmuls over ``(K, B, ·)`` stacks instead of K separate Linear
         calls; normalisation, masking and the per-intent InfoNCE terms
         operate on the exact same per-slice values, so the loss and every
-        parameter gradient are bit-identical to the eager per-``k`` loop.
+        parameter gradient are bit-identical to a per-``k`` loop over
+        :meth:`intent_projections` (the differential suite's oracle).
         """
         config = self.config
         k_count = config.num_intents
@@ -558,7 +582,7 @@ class IntentAlignment(Module):
             )
             term = u2it + it2u
             total = term if total is None else total + term
-        return total * (1.0 / (2.0 * k_count * max(batch_size, 1)))
+        return total
 
     def _byol_term(
         self, intent: int, u_proj: Tensor, z_proj: Tensor, row_weights: np.ndarray

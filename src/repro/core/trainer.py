@@ -35,14 +35,12 @@ from ..data.sampling import (
     BPRSampler,
     IndexCycler,
     ItemTagSampler,
-    TripletBatch,
     TripletCycler,
 )
 from ..data.split import Split
 from ..eval.evaluator import Evaluator
 from ..nn import Adam, detect_anomaly, fusion
 from ..perf import CounterRegistry, PerfReport, StopwatchRegistry
-from ..train.parallel import DataParallelEngine, DataParallelTask, shard_bounds
 from .config import IMCATConfig
 from .imcat import IMCAT
 
@@ -77,27 +75,6 @@ class IMCATTrainConfig:
     """``"auto"`` resumes from the newest valid snapshot under
     ``checkpoint_dir`` (fresh start when there is none); a path loads
     that checkpoint file or directory explicitly."""
-    fused: bool = False
-    """Run the loss under :func:`repro.nn.fusion.fused_mode`: the BPR
-    tails, InfoNCE blocks, and per-intent projection fans execute as
-    single fused kernels, bit-identical to the eager tape."""
-    dp_workers: int = 0
-    """Data-parallel worker count; ``0`` keeps the serial loop.  With
-    ``1`` worker the run is bit-identical to serial (see
-    :mod:`repro.train.parallel` for the determinism contract)."""
-    dp_backend: str = "fork"
-    """``"fork"`` (shared-memory processes) or ``"inline"`` (same task
-    protocol executed sequentially in-process)."""
-
-    def __post_init__(self) -> None:
-        if self.dp_workers < 0:
-            raise ValueError(
-                f"dp_workers must be non-negative, got {self.dp_workers}"
-            )
-        if self.dp_backend not in ("fork", "inline"):
-            raise ValueError(
-                f"dp_backend must be 'fork' or 'inline', got {self.dp_backend!r}"
-            )
 
 
 @dataclass
@@ -110,149 +87,6 @@ class IMCATTrainResult:
     wall_time: float
     history: List[dict] = field(default_factory=list)
     perf: Optional[PerfReport] = field(default=None, repr=False)
-
-
-class _ImcatEpochTask(DataParallelTask):
-    """The IMCAT epoch loop in data-parallel form.
-
-    Every worker replica replays the serial step order — ui/it/item
-    batch sampling (identical across replicas, since the sampler and
-    cycler RNG streams are forked in lockstep), the full
-    :meth:`IMCAT.training_loss` including its loss-time RNG draws (ISA
-    positive masks), and the post-step cluster refresh — but the
-    user-item triplet batch is sharded, so each rank's gradients cover
-    ``n_w / B`` of the ranking loss and the same fraction of the shared
-    auxiliary losses (their per-rank copies sum back to weight one).
-    When a batch is smaller than the worker count every rank computes
-    it whole (for RNG parity) and only rank 0 publishes, at scale 1.
-    """
-
-    def __init__(
-        self,
-        trainer: "IMCATTrainer",
-        optimizer: Adam,
-        rng: np.random.Generator,
-        ui_sampler: BPRSampler,
-        it_sampler: ItemTagSampler,
-        it_batches: TripletCycler,
-        item_batches: IndexCycler,
-        perf: StopwatchRegistry,
-        counters: CounterRegistry,
-        metrics,
-        tracer,
-    ) -> None:
-        self.trainer = trainer
-        self.model = trainer.model
-        self.config = trainer.config
-        self.imcat_config: IMCATConfig = trainer.model.config
-        self.optimizer = optimizer
-        self.rng = rng
-        self.ui_sampler = ui_sampler
-        self.it_sampler = it_sampler
-        self.it_batches = it_batches
-        self.item_batches = item_batches
-        self.perf = perf
-        self.counters = counters
-        self.metrics = metrics
-        self.tracer = tracer
-        self.epoch = 0
-        self.global_step = 0
-        self._local_steps = 0
-        self._ui_epoch = None
-        self._ui: Optional[TripletBatch] = None
-        self._it: Optional[TripletBatch] = None
-        self._item: Optional[np.ndarray] = None
-
-    def steps_per_epoch(self) -> int:
-        return -(-self.ui_sampler.num_positives // self.config.batch_size)
-
-    def begin_epoch(self) -> None:
-        self.model.train()
-        self.model.refresh_epoch(self.epoch)
-        self._ui_epoch = self.ui_sampler.epoch(self.config.batch_size)
-        self._local_steps = 0
-
-    def next_step(self) -> None:
-        self._ui = next(self._ui_epoch)
-        self._it = next(self.it_batches)
-        self._item = next(self.item_batches)
-
-    def save_draw_state(self):
-        return self.rng.bit_generator.state
-
-    def restore_draw_state(self, state) -> None:
-        self.rng.bit_generator.state = state
-
-    def compute(self, rank: int, workers: int) -> Optional[float]:
-        batch = self._ui
-        assert batch is not None
-        n = len(batch)
-        publish = True
-        if n < workers:
-            shard, scale = batch, 1.0
-            publish = rank == 0
-        else:
-            lo, hi = shard_bounds(n, workers)[rank]
-            if (lo, hi) == (0, n):
-                shard, scale = batch, 1.0
-            else:
-                shard = TripletBatch(
-                    batch.anchors[lo:hi],
-                    batch.positives[lo:hi],
-                    batch.negatives[lo:hi],
-                )
-                scale = (hi - lo) / n
-        self.model.begin_step()
-        loss = self.model.training_loss(shard, self._it, self._item, self.rng)
-        if scale != 1.0:
-            loss = loss * scale
-        self.optimizer.zero_grad()
-        loss.backward()
-        return float(loss.item()) if publish else None
-
-    def apply_step(self) -> None:
-        self.optimizer.step()
-
-    def after_apply(self) -> None:
-        self._local_steps += 1
-        step = self.global_step + self._local_steps
-        if (
-            self.model.clustering_active
-            and step % self.imcat_config.cluster_refresh_every == 0
-        ):
-            self.trainer._refresh_clusters(
-                self.rng, self.perf, self.tracer, self.metrics
-            )
-
-    def on_parent_step(self, step_index: int, loss: float) -> None:
-        self.counters.add("steps")
-        remaining = (
-            self.ui_sampler.num_positives - step_index * self.config.batch_size
-        )
-        self.counters.add("triplets", min(self.config.batch_size, remaining))
-        testing.check(testing.TRAINER_STEP)
-
-    def handback(self) -> dict:
-        return {
-            "rng": self.rng.bit_generator.state,
-            "samplers": {
-                "ui": self.ui_sampler.state_dict(),
-                "it": self.it_sampler.state_dict(),
-            },
-            "cyclers": {
-                "triplets": self.it_batches.state_dict(),
-                "items": self.item_batches.state_dict(),
-            },
-            "model_extra": self.model.get_extra_state(),
-        }
-
-    def adopt(self, handback: dict) -> None:
-        self.rng.bit_generator.state = handback["rng"]
-        self.ui_sampler.load_state_dict(handback["samplers"]["ui"])
-        self.it_sampler.load_state_dict(handback["samplers"]["it"])
-        self.it_batches.load_state_dict(handback["cyclers"]["triplets"])
-        self.item_batches.load_state_dict(handback["cyclers"]["items"])
-        self.model.set_extra_state(handback["model_extra"])
 
 
 class IMCATTrainer:
@@ -302,9 +136,7 @@ class IMCATTrainer:
         raises :class:`repro.nn.NumericAnomalyError` naming the
         creating op and its parent shapes.
         """
-        with detect_anomaly(self.config.detect_anomaly), fusion.fused_mode(
-            self.config.fused
-        ):
+        with detect_anomaly(self.config.detect_anomaly):
             return self._fit()
 
     def _fit(self) -> IMCATTrainResult:
@@ -425,30 +257,6 @@ class IMCATTrainer:
             # the ISA index for it once.
             self._refresh_clusters(rng, perf, tracer, metrics)
 
-        dp_task = None
-        engine = None
-        if config.dp_workers > 0:
-            dp_task = _ImcatEpochTask(
-                self,
-                optimizer,
-                rng,
-                ui_sampler,
-                it_sampler,
-                it_batches,
-                item_batches,
-                perf,
-                counters,
-                metrics,
-                tracer,
-            )
-            engine = DataParallelEngine(
-                optimizer.parameters,
-                workers=config.dp_workers,
-                backend=config.dp_backend,
-                tracer=tracer,
-                metrics=metrics,
-            )
-
         def snapshot(next_epoch: int) -> dict:
             """Full training state at an epoch boundary (bit-exact)."""
             return {
@@ -479,121 +287,106 @@ class IMCATTrainer:
                 "history": history,
             }
 
-        try:
-            for epoch in range(start_epoch, config.epochs):
-                epochs_run = epoch + 1
-                if epoch == imcat_config.pretrain_epochs:
-                    with tracer.span("activate-clustering"):
-                        model.activate_clustering(rng)
-                stop_early = False
-                epoch_start = time.perf_counter()
-                with tracer.span(
-                    "epoch", index=epoch, clustering=model.clustering_active
-                ) as epoch_span:
-                    epoch_loss = 0.0
-                    num_batches = 0
-                    if engine is not None:
-                        dp_task.epoch = epoch
-                        dp_task.global_step = step
-                        outcome = engine.run_epoch(dp_task)
-                        for value in outcome.losses:
-                            epoch_loss += value
-                        num_batches = outcome.steps
-                        step += outcome.steps
-                    else:
-                        model.train()
-                        model.refresh_epoch(epoch)
-                        ui_epoch = ui_sampler.epoch(config.batch_size)
-                        while True:
-                            with perf.timed("sampling"), tracer.span("sampling"):
-                                ui_batch = next(ui_epoch, None)
-                                if ui_batch is not None:
-                                    it_batch = next(it_batches)
-                                    item_batch = next(item_batches)
-                            if ui_batch is None:
-                                break
-                            model.begin_step()
-                            with perf.timed("forward"), tracer.span("forward"):
-                                loss = model.training_loss(
-                                    ui_batch, it_batch, item_batch, rng
-                                )
-                            with perf.timed("backward"), tracer.span("backward"):
-                                optimizer.zero_grad()
-                                loss.backward()
-                                optimizer.step()
-                            epoch_loss += loss.item()
-                            num_batches += 1
-                            step += 1
-                            counters.add("steps")
-                            counters.add("triplets", len(ui_batch))
-                            testing.check(testing.TRAINER_STEP)
-                            if (
-                                model.clustering_active
-                                and step % imcat_config.cluster_refresh_every == 0
-                            ):
-                                self._refresh_clusters(rng, perf, tracer, metrics)
-
-                    record = {
-                        "epoch": epoch, "loss": epoch_loss / max(num_batches, 1)
-                    }
-                    epoch_span.set_attributes(
-                        loss=record["loss"], steps=num_batches
-                    )
-                    metrics.gauge("trainer.loss").set(record["loss"])
-                    if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
-                        model.eval()
-                        model.begin_step()
-                        with perf.timed("eval"):
-                            with tracer.span("eval") as eval_span:
-                                result = self.evaluator.evaluate(
-                                    model, perf=perf, tracer=tracer
-                                )
-                                eval_span.set_attribute(
-                                    "metric", result[metric_key]
-                                )
-                        counters.add("evals")
-                        metrics.gauge(f"trainer.valid.{metric_key}").set(
-                            result[metric_key]
+        for epoch in range(start_epoch, config.epochs):
+            epochs_run = epoch + 1
+            if epoch == imcat_config.pretrain_epochs:
+                with tracer.span("activate-clustering"):
+                    model.activate_clustering(rng)
+            stop_early = False
+            epoch_start = time.perf_counter()
+            with tracer.span(
+                "epoch", index=epoch, clustering=model.clustering_active
+            ) as epoch_span:
+                epoch_loss = 0.0
+                num_batches = 0
+                model.train()
+                model.refresh_epoch(epoch)
+                ui_epoch = ui_sampler.epoch(config.batch_size)
+                while True:
+                    with perf.timed("sampling"), tracer.span("sampling"):
+                        ui_batch = next(ui_epoch, None)
+                        if ui_batch is not None:
+                            it_batch = next(it_batches)
+                            item_batch = next(item_batches)
+                    if ui_batch is None:
+                        break
+                    model.begin_step()
+                    with perf.timed("forward"), tracer.span("forward"):
+                        loss = model.training_loss(
+                            ui_batch, it_batch, item_batch, rng
                         )
-                        record[metric_key] = result[metric_key]
-                        if config.verbose:
-                            print(
-                                f"[IMCAT/{model.backbone.__class__.__name__}] "
-                                f"epoch {epoch}: loss={record['loss']:.4f} "
-                                f"{metric_key}={result[metric_key]:.4f}"
-                            )
-                        if result[metric_key] > best_metric:
-                            best_metric = result[metric_key]
-                            best_epoch = epoch
-                            best_state = model.state_dict()
-                            bad_evals = 0
-                        else:
-                            bad_evals += 1
-                            if bad_evals >= config.patience:
-                                stop_early = True
-                    history.append(record)
-                    if not stop_early and manager is not None and (
-                        (epoch + 1) % config.checkpoint_every == 0
+                    with perf.timed("backward"), tracer.span("backward"):
+                        optimizer.zero_grad()
+                        loss.backward()
+                        optimizer.step()
+                    epoch_loss += loss.item()
+                    num_batches += 1
+                    step += 1
+                    counters.add("steps")
+                    counters.add("triplets", len(ui_batch))
+                    testing.check(testing.TRAINER_STEP)
+                    if (
+                        model.clustering_active
+                        and step % imcat_config.cluster_refresh_every == 0
                     ):
-                        with perf.timed("checkpoint"):
-                            manager.save(
-                                snapshot(next_epoch=epoch + 1),
-                                step=step,
-                                metric=record.get(metric_key),
-                            )
-                        counters.add("checkpoints")
-                if config.fused:
-                    fusion.record_metrics(metrics)
-                metrics.histogram("trainer.epoch_seconds").observe(
-                    time.perf_counter() - epoch_start
-                )
-                if stop_early:
-                    break
-                testing.check(testing.TRAINER_EPOCH)
+                        self._refresh_clusters(rng, perf, tracer, metrics)
 
-        finally:
-            if engine is not None:
-                engine.close()
+                record = {
+                    "epoch": epoch, "loss": epoch_loss / max(num_batches, 1)
+                }
+                epoch_span.set_attributes(
+                    loss=record["loss"], steps=num_batches
+                )
+                metrics.gauge("trainer.loss").set(record["loss"])
+                if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
+                    model.eval()
+                    model.begin_step()
+                    with perf.timed("eval"):
+                        with tracer.span("eval") as eval_span:
+                            result = self.evaluator.evaluate(
+                                model, perf=perf, tracer=tracer
+                            )
+                            eval_span.set_attribute(
+                                "metric", result[metric_key]
+                            )
+                    counters.add("evals")
+                    metrics.gauge(f"trainer.valid.{metric_key}").set(
+                        result[metric_key]
+                    )
+                    record[metric_key] = result[metric_key]
+                    if config.verbose:
+                        print(
+                            f"[IMCAT/{model.backbone.__class__.__name__}] "
+                            f"epoch {epoch}: loss={record['loss']:.4f} "
+                            f"{metric_key}={result[metric_key]:.4f}"
+                        )
+                    if result[metric_key] > best_metric:
+                        best_metric = result[metric_key]
+                        best_epoch = epoch
+                        best_state = model.state_dict()
+                        bad_evals = 0
+                    else:
+                        bad_evals += 1
+                        if bad_evals >= config.patience:
+                            stop_early = True
+                history.append(record)
+                if not stop_early and manager is not None and (
+                    (epoch + 1) % config.checkpoint_every == 0
+                ):
+                    with perf.timed("checkpoint"):
+                        manager.save(
+                            snapshot(next_epoch=epoch + 1),
+                            step=step,
+                            metric=record.get(metric_key),
+                        )
+                    counters.add("checkpoints")
+            fusion.record_metrics(metrics)
+            metrics.histogram("trainer.epoch_seconds").observe(
+                time.perf_counter() - epoch_start
+            )
+            if stop_early:
+                break
+            testing.check(testing.TRAINER_EPOCH)
 
         if best_state is not None:
             model.load_state_dict(best_state)

@@ -115,12 +115,13 @@ class Recommender(Module):
     def bpr_loss(self, batch: TripletBatch) -> Tensor:
         """Pairwise ranking loss (Eq. 1) on a triplet batch.
 
-        When fused execution is on and the model uses the default
-        inner-product scorer over raw embedding tables, the whole step
-        (lookups, dot products, loss tail) runs as one fused kernel —
-        bit-identical to the eager chain.
+        When the model uses the default inner-product scorer over raw
+        embedding tables, the whole step (lookups, dot products, loss
+        tail) runs as one fused kernel — bit-identical to the eager chain,
+        which remains the path for propagated (non-leaf) representations
+        and custom scorers.
         """
-        if fusion.is_fused() and type(self).pair_scores is Recommender.pair_scores:
+        if type(self).pair_scores is Recommender.pair_scores:
             fused = fusion.dot_bpr(
                 self.user_repr(),
                 self.item_repr(),
@@ -201,10 +202,7 @@ class TagAwareRecommender(Recommender):
 
     def tag_bpr_loss(self, batch: TripletBatch) -> Tensor:
         """Item-tag ranking loss ``L_VT`` (Eq. 2)."""
-        if (
-            fusion.is_fused()
-            and type(self).tag_pair_scores is TagAwareRecommender.tag_pair_scores
-        ):
+        if type(self).tag_pair_scores is TagAwareRecommender.tag_pair_scores:
             fused = fusion.dot_bpr(
                 self.item_repr(),
                 self.tag_repr(),

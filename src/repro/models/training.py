@@ -10,9 +10,8 @@ the pre-training phase and cluster refresh schedule.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import ContextManager, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -25,12 +24,11 @@ from ..ckpt import (
     rng_state,
     set_rng_state,
 )
-from ..data.sampling import BPRSampler, TripletBatch
+from ..data.sampling import BPRSampler
 from ..data.split import Split
 from ..eval.evaluator import Evaluator
 from ..nn import Adam, CosineAnnealing, StepDecay, clip_grad_norm, detect_anomaly
 from ..nn import fusion
-from ..train.parallel import DataParallelEngine, DataParallelTask, shard_bounds
 from .base import Recommender
 
 
@@ -68,31 +66,12 @@ class TrainConfig:
     """``"auto"`` resumes from the newest valid snapshot under
     ``checkpoint_dir`` (fresh start when there is none); a path loads
     that checkpoint file or directory explicitly."""
-    fused: bool = False
-    """Run the loss under :func:`repro.nn.fusion.fused_mode`: elementwise
-    chains and per-intent projections execute as single fused kernels,
-    bit-identical to the eager tape."""
-    dp_workers: int = 0
-    """Data-parallel worker count; ``0`` keeps the serial loop.  With
-    ``1`` worker the run is bit-identical to serial (see
-    :mod:`repro.train.parallel` for the determinism contract)."""
-    dp_backend: str = "fork"
-    """``"fork"`` (shared-memory processes) or ``"inline"`` (same task
-    protocol executed sequentially in-process)."""
 
     def __post_init__(self) -> None:
         if self.lr_schedule not in (None, "cosine", "step"):
             raise ValueError(
                 f"lr_schedule must be None, 'cosine', or 'step', "
                 f"got {self.lr_schedule!r}"
-            )
-        if self.dp_workers < 0:
-            raise ValueError(
-                f"dp_workers must be non-negative, got {self.dp_workers}"
-            )
-        if self.dp_backend not in ("fork", "inline"):
-            raise ValueError(
-                f"dp_backend must be 'fork' or 'inline', got {self.dp_backend!r}"
             )
 
 
@@ -122,104 +101,8 @@ def fit_bpr(
     sanitizer (see :class:`repro.nn.detect_anomaly`).
     """
     config = config or TrainConfig()
-    with detect_anomaly(config.detect_anomaly), fusion.fused_mode(config.fused):
+    with detect_anomaly(config.detect_anomaly):
         return _fit_bpr(model, split, config, evaluator)
-
-
-class _BprEpochTask(DataParallelTask):
-    """:func:`fit_bpr`'s epoch loop in data-parallel form.
-
-    Each worker replica replays the serial step order — full-batch
-    sampling, loss, ``extra_loss`` RNG draw — but computes gradients
-    only on its contiguous shard, scaled by ``n_w / B``.  When a batch
-    is smaller than the worker count every rank computes it whole (for
-    RNG parity) and only rank 0 publishes, at scale 1.
-    """
-
-    def __init__(
-        self,
-        model: Recommender,
-        sampler: BPRSampler,
-        optimizer: Adam,
-        rng: np.random.Generator,
-        config: TrainConfig,
-    ) -> None:
-        self.model = model
-        self.sampler = sampler
-        self.optimizer = optimizer
-        self.rng = rng
-        self.config = config
-        self.epoch = 0
-        self._batches = None
-        self._batch: Optional[TripletBatch] = None
-
-    def steps_per_epoch(self) -> int:
-        return -(-self.sampler.num_positives // self.config.batch_size)
-
-    def begin_epoch(self) -> None:
-        self.model.train()
-        self.model.refresh_epoch(self.epoch)
-        self._batches = self.sampler.epoch(self.config.batch_size)
-
-    def next_step(self) -> None:
-        self._batch = next(self._batches)
-
-    def save_draw_state(self):
-        return self.rng.bit_generator.state
-
-    def restore_draw_state(self, state) -> None:
-        self.rng.bit_generator.state = state
-
-    def compute(self, rank: int, workers: int) -> Optional[float]:
-        batch = self._batch
-        assert batch is not None
-        n = len(batch)
-        publish = True
-        if n < workers:
-            shard, scale = batch, 1.0
-            publish = rank == 0
-        else:
-            lo, hi = shard_bounds(n, workers)[rank]
-            if (lo, hi) == (0, n):
-                shard, scale = batch, 1.0
-            else:
-                shard = TripletBatch(
-                    batch.anchors[lo:hi],
-                    batch.positives[lo:hi],
-                    batch.negatives[lo:hi],
-                )
-                scale = (hi - lo) / n
-        self.model.begin_step()
-        loss = self.model.bpr_loss(shard)
-        extra = self.model.extra_loss(self.rng)
-        if extra is not None:
-            loss = loss + extra
-        if scale != 1.0:
-            loss = loss * scale
-        self.optimizer.zero_grad()
-        loss.backward()
-        return float(loss.item()) if publish else None
-
-    def apply_step(self) -> None:
-        if self.config.clip_norm is not None:
-            clip_grad_norm(self.optimizer.parameters, self.config.clip_norm)
-        self.optimizer.step()
-
-    def on_parent_step(self, step_index: int, loss: float) -> None:
-        testing.check(testing.TRAINER_STEP)
-
-    def handback(self) -> dict:
-        return {
-            "rng": self.rng.bit_generator.state,
-            "sampler": self.sampler.state_dict(),
-            "model_extra": self.model.get_extra_state(),
-        }
-
-    def adopt(self, handback: dict) -> None:
-        self.rng.bit_generator.state = handback["rng"]
-        self.sampler.load_state_dict(handback["sampler"])
-        if handback["model_extra"] is not None:
-            self.model.set_extra_state(handback["model_extra"])
 
 
 def _fit_bpr(
@@ -323,19 +206,7 @@ def _fit_bpr(
             "history": history,
         }
 
-    dp_task = None
-    engine_cm: ContextManager = nullcontext(None)
-    if config.dp_workers > 0:
-        dp_task = _BprEpochTask(model, sampler, optimizer, rng, config)
-        engine_cm = DataParallelEngine(
-            optimizer.parameters,
-            workers=config.dp_workers,
-            backend=config.dp_backend,
-            tracer=tracer,
-            metrics=metrics,
-        )
-
-    with engine_cm as engine, tracer.span(
+    with tracer.span(
         "train", kind="bpr", model=type(model).__name__
     ) as train_span:
         for epoch in range(start_epoch, config.epochs):
@@ -344,33 +215,25 @@ def _fit_bpr(
             with tracer.span("epoch", index=epoch) as epoch_span:
                 epoch_loss = 0.0
                 num_batches = 0
-                if engine is not None:
-                    dp_task.epoch = epoch
-                    outcome = engine.run_epoch(dp_task)
-                    for value in outcome.losses:
-                        epoch_loss += value
-                    num_batches = outcome.steps
-                    step += outcome.steps
-                else:
-                    model.train()
-                    model.refresh_epoch(epoch)
-                    for batch in sampler.epoch(config.batch_size):
-                        model.begin_step()
-                        loss = model.bpr_loss(batch)
-                        extra = model.extra_loss(rng)
-                        if extra is not None:
-                            loss = loss + extra
-                        optimizer.zero_grad()
-                        loss.backward()
-                        if config.clip_norm is not None:
-                            clip_grad_norm(
-                                optimizer.parameters, config.clip_norm
-                            )
-                        optimizer.step()
-                        epoch_loss += loss.item()
-                        num_batches += 1
-                        step += 1
-                        testing.check(testing.TRAINER_STEP)
+                model.train()
+                model.refresh_epoch(epoch)
+                for batch in sampler.epoch(config.batch_size):
+                    model.begin_step()
+                    loss = model.bpr_loss(batch)
+                    extra = model.extra_loss(rng)
+                    if extra is not None:
+                        loss = loss + extra
+                    optimizer.zero_grad()
+                    loss.backward()
+                    if config.clip_norm is not None:
+                        clip_grad_norm(
+                            optimizer.parameters, config.clip_norm
+                        )
+                    optimizer.step()
+                    epoch_loss += loss.item()
+                    num_batches += 1
+                    step += 1
+                    testing.check(testing.TRAINER_STEP)
                 if scheduler is not None:
                     scheduler.step()
 
@@ -408,8 +271,7 @@ def _fit_bpr(
                 epoch_span.set_attributes(
                     loss=record["loss"], steps=num_batches
                 )
-            if config.fused:
-                fusion.record_metrics(metrics)
+            fusion.record_metrics(metrics)
             history.append(record)
             if stop_early:
                 break

@@ -18,7 +18,6 @@ Public surface:
 """
 
 from . import functional, fusion
-from .fusion import fused_mode, is_fused, set_fused
 from .gradcheck import GradcheckError, gradcheck
 from .init import normal, uniform, xavier_normal, xavier_uniform
 from .layers import (
@@ -99,11 +98,9 @@ __all__ = [
     "drop_nodes",
     "enable_grad",
     "functional",
-    "fused_mode",
     "fusion",
     "gradcheck",
     "is_anomaly_enabled",
-    "is_fused",
     "is_grad_enabled",
     "no_grad",
     "normal",
@@ -111,7 +108,6 @@ __all__ = [
     "ones",
     "random_walk_edges",
     "row_normalize",
-    "set_fused",
     "set_grad_enabled",
     "sparse_matmul",
     "stack",

@@ -251,8 +251,8 @@ def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
 
     ``-mean(log sigmoid(pos - neg))`` over the batch.
 
-    Under :func:`repro.nn.fusion.fused_mode` the whole chain runs as one
-    fused kernel; the result is bit-identical to the eager path.
+    The whole chain runs as one fused kernel (bit-identical to the eager
+    composition below, which handles the inputs the kernel declines).
     """
     pos_scores = as_tensor(pos_scores)
     neg_scores = as_tensor(neg_scores)

@@ -26,11 +26,13 @@ Three kernel families are provided:
   in one node, with gradient scatters written straight into freshly
   allocated tables (no intermediate full-table copies).
 
-Fused mode is off by default and enabled via ``fused=True`` on the
-trainer configs or the :class:`fused_mode` context manager.  Kernels
-apply strict eligibility checks (dtype, shape, leaf-ness) and return
-``None`` when a call cannot be fused bit-exactly, so callers always keep
-the eager path as fallback.
+The kernels are the only runtime path: every call site routes through
+them.  Kernels apply strict eligibility checks (dtype, shape, leaf-ness)
+and return ``None`` when a call cannot be fused bit-exactly; callers
+then run the eager composition, which is the sole path for those
+inputs.  The differential tests reach the same compositions as their
+oracle by substituting each entry point with its ineligible ``None``
+return.
 
 :func:`analyze` walks a recorded tape and reports the fusable
 elementwise chains — the introspection pass the differential tests and
@@ -54,50 +56,9 @@ __all__ = [
     "contrastive_info_nce",
     "dot_bpr",
     "elementwise_bpr",
-    "fused_mode",
-    "is_fused",
     "reset",
-    "set_fused",
     "stats",
 ]
-
-_fused = False
-
-
-def set_fused(mode: bool) -> bool:
-    """Set fused execution globally; returns the previous mode."""
-    global _fused
-    previous = _fused
-    _fused = bool(mode)
-    return previous
-
-
-def is_fused() -> bool:
-    """Whether fused kernels are currently routed to."""
-    return _fused
-
-
-class fused_mode:
-    """Re-entrant context manager enabling (or disabling) fused kernels.
-
-    Mirrors :class:`repro.nn.set_grad_enabled`: each ``__enter__`` pushes
-    the previous mode, so instances nest and can be reused::
-
-        with fused_mode(config.fused):
-            trainer.fit()
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self._mode = bool(enabled)
-        self._stack: List[bool] = []
-
-    def __enter__(self) -> "fused_mode":
-        self._stack.append(set_fused(self._mode))
-        return self
-
-    def __exit__(self, *exc) -> None:
-        set_fused(self._stack.pop())
-
 
 # ----------------------------------------------------------------------
 # instrumentation
@@ -138,7 +99,7 @@ stats = FusionStats()
 def record_metrics(metrics, reset_after: bool = True) -> None:
     """Flush the fusion counters into an obs metrics registry.
 
-    Trainers call this once per fused epoch, so the hot kernel path
+    Trainers call this once per epoch, so the hot kernel path
     never touches the (locked) metrics registry itself.
     """
     for name, value in stats.snapshot().items():
@@ -280,8 +241,6 @@ class _ElementwiseBPR:
 
 def elementwise_bpr(pos: Tensor, neg: Tensor) -> Optional[Tensor]:
     """Fused ``-log_sigmoid(pos - neg).mean()``; None when ineligible."""
-    if not _fused:
-        return None
     if pos.shape != neg.shape or pos.data.size == 0 or not _is_f64(pos, neg):
         stats.fallbacks += 1
         return None
@@ -410,8 +369,6 @@ def contrastive_info_nce(
     positive_mask: Optional[np.ndarray] = None,
 ) -> Optional[Tensor]:
     """Fused InfoNCE; ``None`` when the call cannot be fused bit-exactly."""
-    if not _fused:
-        return None
     if (
         queries.ndim != 2
         or keys.shape != queries.shape
@@ -649,8 +606,6 @@ def dot_bpr(
     the case where the eager chain is four lookups, two inner products
     and the loss tail.
     """
-    if not _fused:
-        return None
     if (
         user_repr is item_repr
         or not _is_leaf(user_repr)

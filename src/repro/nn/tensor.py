@@ -19,13 +19,23 @@ reduced back to the operand's shape by :func:`unbroadcast`.
 from __future__ import annotations
 
 import functools
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Per-thread grad mode: every thread starts with recording on, so
+    one thread's ``no_grad`` (e.g. a serving worker scoring a request)
+    never switches tape recording off for a concurrent trainer."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 _anomaly_enabled = False
 
 
@@ -46,14 +56,12 @@ class set_grad_enabled:
         self._stack: list[bool] = []
 
     def __enter__(self) -> "set_grad_enabled":
-        global _grad_enabled
-        self._stack.append(_grad_enabled)
-        _grad_enabled = self._mode
+        self._stack.append(_grad_mode.enabled)
+        _grad_mode.enabled = self._mode
         return self
 
     def __exit__(self, *exc) -> None:
-        global _grad_enabled
-        _grad_enabled = self._stack.pop()
+        _grad_mode.enabled = self._stack.pop()
 
     def __call__(self, fn: Callable) -> Callable:
         mode = self._mode
@@ -94,8 +102,8 @@ class enable_grad(set_grad_enabled):
 
 
 def is_grad_enabled() -> bool:
-    """Return whether new operations are currently recorded on the tape."""
-    return _grad_enabled
+    """Return whether new operations are recorded on this thread's tape."""
+    return _grad_mode.enabled
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +321,7 @@ class Tensor:
         """Create a result tensor, recording the tape only when needed."""
         if _anomaly_enabled:
             _check_forward(data, parents, backward)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
         return Tensor(data)
 

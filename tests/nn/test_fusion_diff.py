@@ -1,10 +1,14 @@
 """Differential harness: fused execution is bit-identical to eager.
 
-The fusion contract (:mod:`repro.nn.fusion`) promises that enabling
-``fused_mode`` changes the *tape*, never the *numbers*: every loss
-value, every parameter gradient, and every post-optimizer-step
-parameter must carry the exact same float64 bits as the eager path.
-This suite locks that down three ways:
+The fusion contract (:mod:`repro.nn.fusion`) promises that the fused
+kernels change the *tape*, never the *numbers*: every loss value, every
+parameter gradient, and every post-optimizer-step parameter must carry
+the exact same float64 bits as the eager composition.  The kernels are
+the only runtime path, so the eager side runs under
+:func:`tests.eager_oracle.eager_oracle`, which substitutes each kernel
+entry point with its ineligible ``None`` return (plus a per-intent
+reference for the InfoNCE alignment loss).  This suite locks the
+contract down three ways:
 
 - a property sweep over every registry model (one full
   forward/backward/Adam step, name-derived seeds and batch shapes),
@@ -19,6 +23,7 @@ Bitwise equality is asserted with ``np.array_equal`` — no tolerances.
 from __future__ import annotations
 
 import zlib
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -31,12 +36,18 @@ from repro.models import BPRMF
 from repro.nn import Adam, Tensor, fusion
 from repro.nn import functional as F
 
+from ..eager_oracle import eager_oracle
 from ..helpers import assert_gradcheck
 
 
 def _seed(name: str) -> int:
     """Deterministic per-model seed so shapes/draws vary across entries."""
     return zlib.crc32(name.encode("utf-8")) % 100_000
+
+
+def _execution(fused: bool):
+    """The library's runtime path, or the eager oracle."""
+    return nullcontext() if fused else eager_oracle()
 
 
 def _assert_same_grads(eager: dict, fused: dict) -> None:
@@ -82,7 +93,7 @@ class TestModelStepDifferential:
             model = MODEL_BUILDERS[name](
                 small_dataset, small_split, 8, np.random.default_rng(seed)
             )
-            with fusion.fused_mode(fused):
+            with _execution(fused):
                 return _full_step(model, batch, np.random.default_rng(seed + 1))
 
         loss_eager, grads_eager, params_eager = run(False)
@@ -110,7 +121,7 @@ class TestModelStepDifferential:
                 small_dataset, small_split, 8, np.random.default_rng(seed)
             )
             model.train()
-            with fusion.fused_mode(fused):
+            with _execution(fused):
                 loss = model.tag_bpr_loss(batch)
                 model.zero_grad()
                 loss.backward()
@@ -169,7 +180,7 @@ class TestImcatDifferential:
                 model.activate_clustering(np.random.default_rng(11))
             model.refresh_epoch(0)
             model.begin_step()
-            with fusion.fused_mode(fused):
+            with _execution(fused):
                 loss = model.training_loss(ui, it, items, np.random.default_rng(13))
                 model.zero_grad()
                 loss.backward()
@@ -191,8 +202,7 @@ class TestFusedOpGradcheck:
     def test_elementwise_bpr(self, rng):
         pos = Tensor(rng.normal(size=23), requires_grad=True)
         neg = Tensor(rng.normal(size=23), requires_grad=True)
-        with fusion.fused_mode(True):
-            assert_gradcheck(lambda: F.bpr_loss(pos, neg), [pos, neg])
+        assert_gradcheck(lambda: F.bpr_loss(pos, neg), [pos, neg])
 
     def test_info_nce_with_mask_and_weights(self, rng):
         queries = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
@@ -200,11 +210,10 @@ class TestFusedOpGradcheck:
         mask = np.eye(6, dtype=bool)
         mask[0, 3] = mask[2, 5] = True  # widened positive sets (Eq. 17)
         weights = rng.uniform(0.5, 1.5, size=6)
-        with fusion.fused_mode(True):
-            assert_gradcheck(
-                lambda: F.info_nce(queries, keys, 0.7, weights, mask),
-                [queries, keys],
-            )
+        assert_gradcheck(
+            lambda: F.info_nce(queries, keys, 0.7, weights, mask),
+            [queries, keys],
+        )
 
     def test_batched_linear(self, rng):
         x = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
@@ -215,11 +224,10 @@ class TestFusedOpGradcheck:
         biases = [
             Tensor(rng.normal(size=2), requires_grad=True) for _ in range(3)
         ]
-        with fusion.fused_mode(True):
-            assert_gradcheck(
-                lambda: fusion.batched_linear(x, weights, biases).sum(),
-                [x] + weights + biases,
-            )
+        assert_gradcheck(
+            lambda: fusion.batched_linear(x, weights, biases).sum(),
+            [x] + weights + biases,
+        )
 
     def test_dot_bpr(self, rng):
         users = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
@@ -227,33 +235,48 @@ class TestFusedOpGradcheck:
         anchors = np.array([0, 1, 3, 3, 2])
         positives = np.array([0, 2, 1, 1, 4])
         negatives = np.array([3, 0, 4, 2, 0])
-        with fusion.fused_mode(True):
-            loss_builder = lambda: fusion.dot_bpr(
-                users, items, anchors, positives, negatives
-            )
-            assert loss_builder() is not None
-            assert_gradcheck(loss_builder, [users, items])
+        loss_builder = lambda: fusion.dot_bpr(
+            users, items, anchors, positives, negatives
+        )
+        assert loss_builder() is not None
+        assert_gradcheck(loss_builder, [users, items])
 
 
 class TestFusionBookkeeping:
-    """Mode management, stats accounting, and tape analysis."""
+    """Oracle substitution, stats accounting, and tape analysis."""
 
-    def test_fused_mode_nests_and_restores(self):
-        assert not fusion.is_fused()
-        with fusion.fused_mode(True):
-            assert fusion.is_fused()
-            with fusion.fused_mode(False):
-                assert not fusion.is_fused()
-            assert fusion.is_fused()
-        assert not fusion.is_fused()
+    def test_eager_oracle_bypasses_every_kernel(self, small_dataset, small_split):
+        """The differential is not vacuous: the oracle side runs no
+        kernel, the runtime side runs them."""
+        ui = next(BPRSampler(small_split.train, seed=3).epoch(64, shuffle=False))
+        it = next(ItemTagSampler(small_dataset, seed=4).epoch(64, shuffle=False))
+        rng = np.random.default_rng(7)
+        backbone = BPRMF(small_dataset.num_users, small_dataset.num_items, 16, rng)
+        model = IMCAT(
+            backbone, small_dataset, small_split.train,
+            IMCATConfig(num_intents=4, align_batch_size=32), rng=rng,
+        )
+        model.train()
+        model.refresh_epoch(0)
+
+        def kernel_calls(execution) -> int:
+            fusion.reset()
+            model.begin_step()
+            with execution:
+                model.training_loss(
+                    ui, it, np.arange(32), np.random.default_rng(13)
+                ).backward()
+            return fusion.stats.kernel_calls
+
+        assert kernel_calls(eager_oracle()) == 0
+        assert kernel_calls(nullcontext()) > 0
 
     def test_stats_count_kernel_calls_without_fallbacks(self, rng):
         fusion.reset()
         pos = Tensor(rng.normal(size=16), requires_grad=True)
         neg = Tensor(rng.normal(size=16), requires_grad=True)
-        with fusion.fused_mode(True):
-            for _ in range(3):
-                F.bpr_loss(pos, neg).backward()
+        for _ in range(3):
+            F.bpr_loss(pos, neg).backward()
         assert fusion.stats.kernel_calls == 3
         assert fusion.stats.kernels_compiled == 1  # cached after first call
         assert fusion.stats.fallbacks == 0
@@ -263,8 +286,7 @@ class TestFusionBookkeeping:
         fusion.reset()
         pos = Tensor(rng.normal(size=8), requires_grad=True)
         neg = Tensor(rng.normal(size=8), requires_grad=True)
-        with fusion.fused_mode(True):
-            F.bpr_loss(pos, neg).backward()
+        F.bpr_loss(pos, neg).backward()
         metrics = obs.MetricsRegistry()
         fusion.record_metrics(metrics)
         snapshot = metrics.snapshot()
@@ -274,9 +296,9 @@ class TestFusionBookkeeping:
     def test_analyze_finds_eager_chains_and_fused_shrink(self, rng):
         pos = Tensor(rng.normal(size=16), requires_grad=True)
         neg = Tensor(rng.normal(size=16), requires_grad=True)
-        eager_report = fusion.analyze(F.bpr_loss(pos, neg))
+        with eager_oracle():
+            eager_report = fusion.analyze(F.bpr_loss(pos, neg))
         assert eager_report.fusable_nodes >= 2
-        with fusion.fused_mode(True):
-            fused_report = fusion.analyze(F.bpr_loss(pos, neg))
+        fused_report = fusion.analyze(F.bpr_loss(pos, neg))
         assert fused_report.nodes < eager_report.nodes
         assert fused_report.fusable_nodes == 0

@@ -161,82 +161,3 @@ class TestGoldenTrace:
         assert span_structure(second.records()) == span_structure(
             tracer.records()
         )
-
-
-class TestDataParallelTrace:
-    """Span structure of the data-parallel epoch path.
-
-    The fork backend's parent-side trace is fully deterministic: worker
-    compute happens in forked children (their spans die with them), so
-    each epoch collapses to the orchestration spans ``dp:fork`` /
-    ``dp:steps`` / ``dp:adopt`` plus the parent-side eval.
-    """
-
-    def _fit_traced(self, small_dataset, small_split, backend):
-        rng = np.random.default_rng(0)
-        backbone = BPRMF(
-            small_dataset.num_users, small_dataset.num_items, 16, rng
-        )
-        config = IMCATConfig(
-            num_intents=4, align_batch_size=32, pretrain_epochs=1,
-        )
-        model = IMCAT(
-            backbone, small_dataset, small_split.train, config, rng=rng
-        )
-        tracer = Tracer()
-        IMCATTrainer(
-            model, small_split,
-            IMCATTrainConfig(
-                epochs=2, batch_size=BATCH_SIZE, eval_every=1, patience=10,
-                dp_workers=1, dp_backend=backend,
-            ),
-            tracer=tracer,
-        ).fit()
-        return tracer
-
-    def test_fork_structure_matches_golden(self, small_dataset, small_split):
-        tracer = self._fit_traced(small_dataset, small_split, "fork")
-        assert validate_trace(tracer.records()) is None
-        valid_users = sum(
-            1 for items in small_split.valid.items_of_user() if len(items)
-        )
-        n_chunks = -(-valid_users // CHUNK_SIZE)
-        dp_epoch = [
-            _leaf("dp:fork"), _leaf("dp:steps"), _leaf("dp:adopt"),
-            ("eval", 1, _eval_children(n_chunks)),
-        ]
-        golden = [
-            ("train", 1, [
-                ("cluster-refresh", 1, []),
-                ("epoch", 1, dp_epoch),
-                ("activate-clustering", 1, []),
-                ("epoch", 1, dp_epoch),
-            ]),
-        ]
-        assert span_structure(tracer.records()) == golden
-
-    def test_inline_steps_nest_worker_spans(self, small_dataset, small_split):
-        # The inline backend runs compute in-process, so the per-loss
-        # spans re-appear, nested under ``dp:steps``.
-        tracer = self._fit_traced(small_dataset, small_split, "inline")
-        assert validate_trace(tracer.records()) is None
-
-        def names(nodes):
-            out = []
-            for name, _, children in nodes:
-                out.append(name)
-                out.extend(names(children))
-            return out
-
-        structure = span_structure(tracer.records())
-        epochs = [
-            node for node in structure[0][2] if node[0] == "epoch"
-        ]
-        assert len(epochs) == 2
-        for name, _, children in epochs:
-            steps = [node for node in children if node[0] == "dp:steps"]
-            assert len(steps) == 1
-            assert "loss:bpr" in names(steps[0][2])
-        # The clustering epoch computes the KL term inside the workers.
-        assert "loss:kl" in names(epochs[1][2])
-        assert "dp:fork" not in names(structure)

@@ -94,6 +94,27 @@ class TestConfigFingerprint:
             {"lr": 1e-3, "epochs": 10, "verbose": True, "resume_from": "auto"}
         ) == config_fingerprint({"lr": 1e-3, "epochs": 99, "verbose": False})
 
+    def test_default_train_configs_keep_their_fingerprints(self):
+        """Snapshots written while the train configs still carried the
+        execution-mode fields (fused kernels on/off, data-parallel
+        worker count and backend; all excluded from the digest then)
+        must keep resuming: the fingerprints of the default configs are
+        pinned to the values those versions computed."""
+        from repro.core import IMCATConfig, IMCATTrainConfig
+        from repro.models import TrainConfig
+
+        assert config_fingerprint(IMCATTrainConfig()) == "95316c802629df5a"
+        assert config_fingerprint(TrainConfig()) == "a6c22db955afccb0"
+        # The composite digests the trainers store in every snapshot.
+        assert config_fingerprint(
+            IMCATTrainConfig(),
+            IMCATConfig(),
+            {"kind": "imcat", "backbone": "LightGCN"},
+        ) == "11f19ec1bf8b5473"
+        assert config_fingerprint(
+            TrainConfig(), {"kind": "bpr", "model": "BPRMF"}
+        ) == "43297b4efd27773c"
+
 
 class TestOptimizerState:
     def _params(self):

@@ -34,15 +34,16 @@ class TestParser:
         )
         assert args.scale == 0.05
         assert args.epochs == 40
-        assert args.fused is False
-        assert args.dp_workers == 0
-        assert args.dp_backend == "fork"
 
-    def test_rejects_unknown_dp_backend(self):
+    @pytest.mark.parametrize(
+        "flag", [["--fused"], ["--dp-workers", "2"], ["--dp-backend", "fork"]]
+    )
+    def test_rejects_removed_execution_flags(self, flag):
+        # Fused kernels are the only training path; there is no
+        # execution-mode option left to select.
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["run", "--dataset", "hetrec-del", "--method", "BPRMF",
-                 "--dp-backend", "threads"]
+                ["run", "--dataset", "hetrec-del", "--method", "BPRMF", *flag]
             )
 
 
@@ -65,17 +66,6 @@ class TestCommands:
             "run", "--dataset", "hetrec-del", "--method", "BPRMF",
             "--scale", "0.04", "--epochs", "2", "--embed-dim", "16",
             "--batch-size", "128",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "BPRMF" in out
-        assert "R@20" in out
-
-    def test_run_fused_dp_executes_cell(self, capsys):
-        code = main([
-            "run", "--dataset", "hetrec-del", "--method", "BPRMF",
-            "--scale", "0.04", "--epochs", "2", "--embed-dim", "16",
-            "--batch-size", "128", "--fused", "--dp-workers", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out

@@ -11,7 +11,7 @@ import repro
 
 SUBPACKAGES = ["repro.nn", "repro.data", "repro.models", "repro.core",
                "repro.eval", "repro.bench", "repro.perf", "repro.ckpt",
-               "repro.testing", "repro.obs", "repro.train"]
+               "repro.testing", "repro.obs"]
 
 
 class TestExports:
