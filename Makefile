@@ -41,16 +41,23 @@ baseline:
 bench:
 	$(PYTHON) -m pytest benchmarks -q -s
 
-# Checkpoint/resume smoke: train 4 epochs with snapshots, then resume the
-# same run from the newest snapshot and extend it to 8 epochs.
+# Checkpoint/resume smoke, one leg per snapshot kind: BPRMF trains 4
+# epochs with snapshots, then resumes from the newest one and extends
+# to 8; L-IMCAT trains 2 epochs, then resumes and extends to 4.
 train-resume:
 	rm -rf .ckpt-smoke
 	$(PYTHON) -m repro run --dataset hetrec-del --method BPRMF \
 		--scale 0.02 --epochs 4 --batch-size 256 \
-		--checkpoint-dir .ckpt-smoke --checkpoint-every 2
+		--checkpoint-dir .ckpt-smoke/bprmf --checkpoint-every 2
 	$(PYTHON) -m repro run --dataset hetrec-del --method BPRMF \
 		--scale 0.02 --epochs 8 --batch-size 256 \
-		--checkpoint-dir .ckpt-smoke --resume
+		--checkpoint-dir .ckpt-smoke/bprmf --resume
+	$(PYTHON) -m repro run --dataset hetrec-del --method L-IMCAT \
+		--scale 0.02 --epochs 2 --batch-size 256 \
+		--checkpoint-dir .ckpt-smoke/limcat
+	$(PYTHON) -m repro run --dataset hetrec-del --method L-IMCAT \
+		--scale 0.02 --epochs 4 --batch-size 256 \
+		--checkpoint-dir .ckpt-smoke/limcat --resume
 	rm -rf .ckpt-smoke
 
 # Training-at-speed smoke: the fused kernels are the only training path

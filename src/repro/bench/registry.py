@@ -40,11 +40,14 @@ def _train_interactions(split: Split):
     return (split.train.user_ids, split.train.item_ids)
 
 
-def _simple(builder: Callable) -> Callable:
-    """Wrap a model builder into the standard fit_bpr training recipe.
+def _recipe(builder: Callable, imcat: Optional[IMCATConfig] = None) -> Callable:
+    """Wrap a model builder into a training recipe.
 
-    Extra keyword arguments (e.g. ``checkpoint_dir`` / ``resume_from``)
-    are forwarded into :class:`~repro.models.TrainConfig`.
+    The built model trains through :func:`~repro.models.fit_bpr`; with
+    ``imcat`` set it is instead the backbone of an :class:`IMCAT`
+    wrapper trained by :class:`~repro.core.IMCATTrainer`.  Extra keyword
+    arguments (e.g. ``checkpoint_dir`` / ``resume_from``) are forwarded
+    into the train config.
     """
 
     def recipe(
@@ -58,17 +61,17 @@ def _simple(builder: Callable) -> Callable:
     ) -> TrainedMethod:
         rng = np.random.default_rng(seed)
         model = builder(dataset, split, embed_dim, rng)
+        settings = dict(epochs=epochs, batch_size=batch_size, seed=seed,
+                        eval_every=5, patience=4, **train_overrides)
+        if imcat is not None:
+            model = IMCAT(model, dataset, split.train, imcat, rng=rng)
         start = time.time()
-        result = fit_bpr(
-            model,
-            split,
-            TrainConfig(
-                epochs=epochs, batch_size=batch_size, seed=seed,
-                eval_every=5, patience=4, **train_overrides,
-            ),
+        result = (
+            fit_bpr(model, split, TrainConfig(**settings)) if imcat is None
+            else IMCATTrainer(model, split, IMCATTrainConfig(**settings)).fit()
         )
         return TrainedMethod(
-            name=builder.__name__,
+            name=builder.__name__ if imcat is None else "imcat",
             model=model,
             wall_time=time.time() - start,
             epochs_run=result.epochs_run,
@@ -77,44 +80,9 @@ def _simple(builder: Callable) -> Callable:
     return recipe
 
 
-def _imcat(backbone_builder: Callable, config: Optional[IMCATConfig] = None) -> Callable:
-    """Wrap a backbone builder into the IMCAT training recipe.
-
-    Extra keyword arguments (e.g. ``checkpoint_dir`` / ``resume_from``)
-    are forwarded into :class:`~repro.core.IMCATTrainConfig`.
-    """
-
-    def recipe(
-        dataset: TagRecDataset,
-        split: Split,
-        embed_dim: int,
-        seed: int,
-        epochs: int,
-        batch_size: int,
-        **train_overrides,
-    ) -> TrainedMethod:
-        rng = np.random.default_rng(seed)
-        backbone = backbone_builder(dataset, split, embed_dim, rng)
-        imcat_config = config or IMCATConfig()
-        model = IMCAT(backbone, dataset, split.train, imcat_config, rng=rng)
-        trainer = IMCATTrainer(
-            model,
-            split,
-            IMCATTrainConfig(
-                epochs=epochs, batch_size=batch_size, seed=seed,
-                eval_every=5, patience=4, **train_overrides,
-            ),
-        )
-        start = time.time()
-        result = trainer.fit()
-        return TrainedMethod(
-            name="imcat",
-            model=model,
-            wall_time=time.time() - start,
-            epochs_run=result.epochs_run,
-        )
-
-    return recipe
+def _imcat(builder: Callable, config: Optional[IMCATConfig] = None) -> Callable:
+    """The IMCAT recipe over backbone ``builder`` (default config)."""
+    return _recipe(builder, config or IMCATConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +145,18 @@ def _kgcl(dataset, split, embed_dim, rng):
 
 #: Table II rows, in paper order.
 METHODS: Dict[str, Callable] = {
-    "BPRMF": _simple(_bprmf),
-    "NeuMF": _simple(_neumf),
-    "LightGCN": _simple(_lightgcn),
-    "CFA": _simple(_cfa),
-    "DSPR": _simple(_dspr),
-    "TGCN": _simple(_tgcn),
-    "CKE": _simple(_cke),
-    "RippleNet": _simple(_ripplenet),
-    "KGAT": _simple(_kgat),
-    "KGIN": _simple(_kgin),
-    "SGL": _simple(_sgl),
-    "KGCL": _simple(_kgcl),
+    "BPRMF": _recipe(_bprmf),
+    "NeuMF": _recipe(_neumf),
+    "LightGCN": _recipe(_lightgcn),
+    "CFA": _recipe(_cfa),
+    "DSPR": _recipe(_dspr),
+    "TGCN": _recipe(_tgcn),
+    "CKE": _recipe(_cke),
+    "RippleNet": _recipe(_ripplenet),
+    "KGAT": _recipe(_kgat),
+    "KGIN": _recipe(_kgin),
+    "SGL": _recipe(_sgl),
+    "KGCL": _recipe(_kgcl),
     "B-IMCAT": _imcat(_bprmf),
     "N-IMCAT": _imcat(_neumf),
     "L-IMCAT": _imcat(_lightgcn),
@@ -209,8 +177,8 @@ def _fm(dataset, split, embed_dim, rng):
 #: intent-disentanglement model IRM follows, ref [10]) and FM (the
 #: classic feature-based route, ref [3]).
 EXTRAS: Dict[str, Callable] = {
-    "DGCF": _simple(_dgcf),
-    "FM": _simple(_fm),
+    "DGCF": _recipe(_dgcf),
+    "FM": _recipe(_fm),
 }
 
 #: Every plain (non-IMCAT) model, name -> builder(dataset, split,

@@ -38,13 +38,12 @@ from .intents import (
     validate_intent_dims,
 )
 from .set2set import SetToSetIndex, cluster_tag_matrix, jaccard_similar_pairs
-from .trainer import IMCATTrainConfig, IMCATTrainer, IMCATTrainResult
+from .trainer import IMCATTrainConfig, IMCATTrainer
 
 __all__ = [
     "IMCAT",
     "IMCATConfig",
     "IMCATTrainConfig",
-    "IMCATTrainResult",
     "IMCATTrainer",
     "IntentAlignment",
     "IntentExplanation",

@@ -87,6 +87,10 @@ class IMCATConfig:
         for field_name in ("alpha", "beta", "gamma", "independence_weight"):
             if getattr(self, field_name) < 0:
                 raise ValueError(f"{field_name} must be non-negative")
+        for field_name in ("cluster_refresh_every", "align_batch_size"):
+            value = getattr(self, field_name)
+            if value < 1:
+                raise ValueError(f"{field_name} must be >= 1, got {value}")
         if self.user_aggregation not in ("mean", "attention"):
             raise ValueError(
                 "user_aggregation must be 'mean' or 'attention', "

@@ -10,7 +10,7 @@ backbone (the paper demonstrates BPRMF, NeuMF, and LightGCN) and adds
 
 The joint objective (Eq. 18) is assembled per training step by
 :meth:`IMCAT.training_loss`; phase scheduling (pre-training, cluster
-refresh) lives in :class:`repro.core.trainer.IMCATTrainer`.
+refresh) lives in :class:`repro.core.trainer.IMCATStep`.
 """
 
 from __future__ import annotations

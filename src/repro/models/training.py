@@ -1,17 +1,20 @@
-"""Generic BPR training loop with validation early stopping.
+"""The training loop every model runs through (Section V.D).
 
-Implements the protocol of Section V.D for backbones and baselines:
-Adam, learning rate / weight decay ``1e-3``, batch size 1024, one
-negative per positive, early stopping when validation Recall@20 stops
-improving.  IMCAT has its own trainer (``repro.core.trainer``) because of
-the pre-training phase and cluster refresh schedule.
+The paper trains IMCAT and every baseline under one protocol: Adam with
+learning rate / weight decay ``1e-3``, batch size 1024, one negative per
+positive, early stopping on validation Recall@20.  :func:`run_training`
+is that protocol, written once; what differs per model is a
+:class:`TrainStep` (batches, loss, step/epoch hooks, snapshot entries).
+:class:`BPRStep` trains backbones and baselines (:func:`fit_bpr`);
+IMCAT's step, with the pre-training phase and the cluster refresh
+schedule, lives in :mod:`repro.core.trainer`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -28,17 +31,17 @@ from ..data.sampling import BPRSampler
 from ..data.split import Split
 from ..eval.evaluator import Evaluator
 from ..nn import Adam, CosineAnnealing, StepDecay, clip_grad_norm, detect_anomaly
-from ..nn import fusion
+from ..nn import Tensor, fusion
+from ..perf import CounterRegistry, PerfReport, StopwatchRegistry
 from .base import Recommender
 
 
 @dataclass
-class TrainConfig:
-    """Training hyper-parameters (paper defaults, scaled-down epochs).
+class BaseTrainConfig:
+    """Optimisation settings every training run shares (paper defaults).
 
-    ``lr_schedule`` selects an optional per-epoch schedule ("cosine" or
-    "step"); ``clip_norm`` enables global gradient-norm clipping.  Both
-    default to off, matching the paper's fixed-rate Adam.
+    Counts below 1 are rejected at construction, before a run builds
+    anything.
     """
 
     epochs: int = 100
@@ -50,8 +53,6 @@ class TrainConfig:
     top_n: int = 20
     seed: int = 0
     verbose: bool = False
-    lr_schedule: Optional[str] = None
-    clip_norm: Optional[float] = None
     detect_anomaly: bool = False
     """Run training under :class:`repro.nn.detect_anomaly`: NaN/Inf on
     the tape raises at the creating op instead of poisoning the run."""
@@ -59,7 +60,7 @@ class TrainConfig:
     """Directory for :mod:`repro.ckpt` snapshots; ``None`` disables
     checkpointing entirely."""
     checkpoint_every: int = 1
-    """Snapshot every N epochs at the epoch boundary."""
+    """Snapshot every N epochs, at the epoch boundary."""
     keep_last: int = 3
     """Rolling retention: newest snapshots kept (plus best-by-metric)."""
     resume_from: Optional[str] = None
@@ -68,6 +69,28 @@ class TrainConfig:
     that checkpoint file or directory explicitly."""
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "eval_every", "checkpoint_every",
+                     "patience", "top_n", "keep_last"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
+
+
+@dataclass
+class TrainConfig(BaseTrainConfig):
+    """Settings for :func:`fit_bpr` (paper defaults, scaled-down epochs).
+
+    ``lr_schedule`` selects an optional per-epoch schedule ("cosine" or
+    "step"); ``clip_norm`` enables global gradient-norm clipping.  Both
+    default to off, matching the paper's fixed-rate Adam.
+    """
+
+    lr_schedule: Optional[str] = None
+    clip_norm: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.lr_schedule not in (None, "cosine", "step"):
             raise ValueError(
                 f"lr_schedule must be None, 'cosine', or 'step', "
@@ -77,13 +100,285 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """Outcome of a training run."""
+    """Outcome of a training run, with its phase timings in ``perf``."""
 
     best_metric: float
     best_epoch: int
     epochs_run: int
     wall_time: float
     history: List[dict] = field(default_factory=list)
+    perf: Optional[PerfReport] = field(default=None, repr=False)
+
+
+class TrainStep:
+    """The per-model part of :func:`run_training`.
+
+    A subclass sets ``kind`` (the snapshot kind), ``label`` (verbose
+    lines), ``fingerprint_parts`` (digested after the train config),
+    ``span_attributes`` (of the ``train`` span) and ``clip_norm``, and
+    implements
+
+    - ``start(snapshot, rng, optimizer, perf, tracer)``: build the
+      per-run state, restored from ``snapshot`` when resuming (``None``
+      on a fresh start);
+    - ``batches()``: one epoch of batches, tuples of ``loss`` arguments
+      whose first entry is the user-item triplet batch;
+    - ``loss(*batch)``: the training loss of one batch;
+    - ``state_dict()``: the kind's own snapshot entries.
+
+    The hooks below are no-ops by default.
+    """
+
+    kind = ""
+    clip_norm: Optional[float] = None
+
+    def __init__(self, model: Any) -> None:
+        self.model = model
+        self.label = type(model).__name__
+
+    def epoch_attributes(self) -> Dict[str, Any]:
+        """Extra attributes of the ``epoch`` span."""
+        return {}
+
+    def epoch_start(self, epoch: int) -> None:
+        """Runs before the ``epoch`` span opens."""
+
+    def epoch_end(self, epoch: int) -> None:
+        """Runs after the epoch's last step, before evaluation."""
+
+    def after_step(self, step: int) -> None:
+        """Runs after every optimizer step; ``step`` counts from 1."""
+
+
+class BPRStep(TrainStep):
+    """BPR on user-item triplets plus the model's auxiliary objective.
+
+    :meth:`Recommender.extra_loss` is added to every batch loss, which
+    is how SSL/KG baselines inject their auxiliary objectives;
+    ``config.lr_schedule`` steps at every epoch end.
+    """
+
+    kind = "bpr"
+
+    def __init__(self, model: Recommender, split: Split,
+                 config: TrainConfig) -> None:
+        super().__init__(model)
+        self.config = config
+        self.clip_norm = config.clip_norm
+        self.fingerprint_parts = ({"kind": "bpr", "model": self.label},)
+        self.span_attributes = {"kind": "bpr", "model": self.label}
+        self.sampler = BPRSampler(split.train, seed=config.seed)
+        self.scheduler = None
+
+    def start(self, snapshot, rng, optimizer, perf, tracer) -> None:
+        self.rng = rng
+        epochs = self.config.epochs
+        if self.config.lr_schedule == "cosine":
+            self.scheduler = CosineAnnealing(optimizer, total_epochs=epochs)
+        elif self.config.lr_schedule == "step":
+            self.scheduler = StepDecay(
+                optimizer, step_size=max(epochs // 3, 1), gamma=0.5
+            )
+        if snapshot is not None:
+            if self.scheduler is not None and snapshot["scheduler"] is not None:
+                self.scheduler.load_state_dict(snapshot["scheduler"])
+            self.sampler.load_state_dict(snapshot["sampler"])
+
+    def batches(self) -> Iterator[tuple]:
+        return ((batch,) for batch in self.sampler.epoch(self.config.batch_size))
+
+    def loss(self, batch) -> Tensor:
+        loss = self.model.bpr_loss(batch)
+        extra = self.model.extra_loss(self.rng)
+        return loss if extra is None else loss + extra
+
+    def epoch_end(self, epoch: int) -> None:
+        if self.scheduler is not None:
+            self.scheduler.step()
+
+    def state_dict(self) -> Dict[str, Any]:
+        scheduler = self.scheduler
+        return {
+            "scheduler": None if scheduler is None else scheduler.state_dict(),
+            "sampler": self.sampler.state_dict(),
+        }
+
+
+def run_training(
+    step: TrainStep,
+    split: Split,
+    config: BaseTrainConfig,
+    evaluator: Optional[Evaluator] = None,
+    perf: Optional[StopwatchRegistry] = None,
+    tracer: Optional[obs.Tracer] = None,
+) -> TrainResult:
+    """Train ``step.model`` on ``split.train``, early-stopping on
+    ``split.valid``; the best validation state is restored on return.
+
+    The run records a ``train`` → ``epoch`` → ``sampling`` /
+    ``forward`` / ``backward`` / ``eval`` span tree on ``tracer``
+    (default: the process-global one), times the same phases into
+    ``perf`` (default: a fresh registry), and sets the ``trainer.loss``
+    / ``trainer.valid.*`` gauges.  ``config.detect_anomaly`` wraps the
+    run in :class:`repro.nn.detect_anomaly`.
+    """
+    model = step.model
+    tracer = obs.resolve_tracer(tracer)
+    evaluator = evaluator or Evaluator(
+        split.train, split.valid, top_n=(config.top_n,), metrics=("recall",)
+    )
+    with detect_anomaly(config.detect_anomaly), tracer.span(
+        "train", **step.span_attributes
+    ) as train_span:
+        rng = np.random.default_rng(config.seed)
+        metric_key = f"recall@{config.top_n}"
+        optimizer = Adam(model.parameters(), lr=config.learning_rate,
+                         weight_decay=config.weight_decay)
+        perf = perf if perf is not None else StopwatchRegistry()
+        counters = CounterRegistry()
+        metrics = obs.get_metrics()
+        manager = None if config.checkpoint_dir is None else CheckpointManager(
+            config.checkpoint_dir, keep_last=config.keep_last, tracer=tracer
+        )
+        fingerprint = config_fingerprint(config, *step.fingerprint_parts)
+        # The snapshot's "best" entry; its metric is -inf (None on disk)
+        # until the first evaluation.
+        best = {"metric": -np.inf, "epoch": -1, "state": None, "bad_evals": 0}
+        history: List[dict] = []
+        start = time.time()
+        global_step = epochs_run = start_epoch = 0
+
+        resumed = resolve_resume(config.resume_from, manager)
+        if resumed is not None:
+            if resumed.get("fingerprint") != fingerprint:
+                raise CheckpointError(
+                    "checkpoint/config mismatch: the snapshot was written "
+                    f"under fingerprint {resumed.get('fingerprint')!r} but "
+                    f"this run has {fingerprint!r}; resume with the same "
+                    "optimisation settings (the epoch budget may differ)"
+                )
+            model.load_state_dict(resumed["model"])
+            if resumed.get("model_extra") is not None:
+                model.set_extra_state(resumed["model_extra"])
+            optimizer.load_state_dict(resumed["optimizer"])
+            set_rng_state(rng, resumed["rng"])
+            best = dict(resumed["best"])
+            if best["metric"] is None:
+                best["metric"] = -np.inf
+            history = list(resumed["history"])
+            global_step, epochs_run, start_epoch = (
+                resumed["step"], resumed["epochs_run"], resumed["epoch"]
+            )
+        step.start(resumed, rng, optimizer, perf, tracer)
+        if resumed is not None:
+            model.begin_step()
+
+        def snapshot(next_epoch: int) -> dict:
+            """Full training state at an epoch boundary (bit-exact)."""
+            metric = None if best["state"] is None else float(best["metric"])
+            return {
+                "version": 1,
+                "kind": step.kind,
+                "fingerprint": fingerprint,
+                "epoch": next_epoch,
+                "step": global_step,
+                "epochs_run": epochs_run,
+                "model": model.state_dict(),
+                "model_extra": model.get_extra_state(),
+                "optimizer": optimizer.state_dict(),
+                "rng": rng_state(rng),
+                **step.state_dict(),
+                "best": dict(best, metric=metric),
+                "history": history,
+            }
+
+        for epoch in range(start_epoch, config.epochs):
+            epochs_run = epoch + 1
+            step.epoch_start(epoch)
+            stop_early = False
+            epoch_start = time.perf_counter()
+            with tracer.span(
+                "epoch", index=epoch, **step.epoch_attributes()
+            ) as epoch_span:
+                epoch_loss = 0.0
+                num_batches = 0
+                model.train()
+                model.refresh_epoch(epoch)
+                batches = step.batches()
+                while True:
+                    with perf.timed("sampling"), tracer.span("sampling"):
+                        batch = next(batches, None)
+                    if batch is None:
+                        break
+                    model.begin_step()
+                    with perf.timed("forward"), tracer.span("forward"):
+                        loss = step.loss(*batch)
+                    with perf.timed("backward"), tracer.span("backward"):
+                        optimizer.zero_grad()
+                        loss.backward()
+                        if step.clip_norm is not None:
+                            clip_grad_norm(optimizer.parameters, step.clip_norm)
+                        optimizer.step()
+                    epoch_loss += loss.item()
+                    num_batches += 1
+                    global_step += 1
+                    counters.add("steps")
+                    counters.add("triplets", len(batch[0]))
+                    testing.check(testing.TRAINER_STEP)
+                    step.after_step(global_step)
+                step.epoch_end(epoch)
+
+                record = {"epoch": epoch, "loss": epoch_loss / max(num_batches, 1)}
+                epoch_span.set_attributes(loss=record["loss"], steps=num_batches)
+                metrics.gauge("trainer.loss").set(record["loss"])
+                if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
+                    model.eval()
+                    model.begin_step()
+                    with perf.timed("eval"), tracer.span("eval") as eval_span:
+                        scores = evaluator.evaluate(model, perf=perf, tracer=tracer)
+                        value = record[metric_key] = scores[metric_key]
+                        eval_span.set_attribute("metric", value)
+                    counters.add("evals")
+                    metrics.gauge(f"trainer.valid.{metric_key}").set(value)
+                    if config.verbose:
+                        print(f"[{step.label}] epoch {epoch}: "
+                              f"loss={record['loss']:.4f} {metric_key}={value:.4f}")
+                    if value > best["metric"]:
+                        best = {"metric": value, "epoch": epoch,
+                                "state": model.state_dict(), "bad_evals": 0}
+                    else:
+                        best["bad_evals"] += 1
+                        stop_early = best["bad_evals"] >= config.patience
+                history.append(record)
+                if not stop_early and manager is not None and (
+                    (epoch + 1) % config.checkpoint_every == 0
+                ):
+                    with perf.timed("checkpoint"):
+                        manager.save(snapshot(next_epoch=epoch + 1),
+                                     step=global_step, metric=record.get(metric_key))
+                    counters.add("checkpoints")
+            fusion.record_metrics(metrics)
+            metrics.histogram("trainer.epoch_seconds").observe(
+                time.perf_counter() - epoch_start
+            )
+            if stop_early:
+                break
+            testing.check(testing.TRAINER_EPOCH)
+
+        if best["state"] is not None:
+            model.load_state_dict(best["state"])
+            model.begin_step()
+        model.eval()
+        result = TrainResult(
+            best_metric=float(best["metric"]) if best["metric"] > -np.inf else 0.0,
+            best_epoch=best["epoch"],
+            epochs_run=epochs_run,
+            wall_time=time.time() - start,
+            history=history,
+            perf=PerfReport.from_registries(perf, counters),
+        )
+        train_span.set_attributes(best_metric=result.best_metric, epochs_run=epochs_run)
+    return result
 
 
 def fit_bpr(
@@ -94,210 +389,8 @@ def fit_bpr(
 ) -> TrainResult:
     """Train ``model`` on ``split.train`` with BPR + early stopping.
 
-    The model's :meth:`Recommender.extra_loss` hook is added to every
-    batch loss, which is how SSL/KG baselines inject their auxiliary
-    objectives.  The best validation state is restored before returning.
-    ``config.detect_anomaly`` wraps the run in the autograd numeric
-    sanitizer (see :class:`repro.nn.detect_anomaly`).
+    A thin caller of :func:`run_training` over a :class:`BPRStep`; the
+    best validation state is restored before returning.
     """
     config = config or TrainConfig()
-    with detect_anomaly(config.detect_anomaly):
-        return _fit_bpr(model, split, config, evaluator)
-
-
-def _fit_bpr(
-    model: Recommender,
-    split: Split,
-    config: TrainConfig,
-    evaluator: Optional[Evaluator],
-) -> TrainResult:
-    tracer = obs.get_tracer()
-    metrics = obs.get_metrics()
-    rng = np.random.default_rng(config.seed)
-    sampler = BPRSampler(split.train, seed=config.seed)
-    evaluator = evaluator or Evaluator(
-        split.train, split.valid, top_n=(config.top_n,), metrics=("recall",)
-    )
-    metric_key = f"recall@{config.top_n}"
-    optimizer = Adam(
-        model.parameters(),
-        lr=config.learning_rate,
-        weight_decay=config.weight_decay,
-    )
-    scheduler = None
-    if config.lr_schedule == "cosine":
-        scheduler = CosineAnnealing(optimizer, total_epochs=config.epochs)
-    elif config.lr_schedule == "step":
-        scheduler = StepDecay(
-            optimizer, step_size=max(config.epochs // 3, 1), gamma=0.5
-        )
-
-    manager = None
-    if config.checkpoint_dir is not None:
-        manager = CheckpointManager(
-            config.checkpoint_dir, keep_last=config.keep_last, tracer=tracer
-        )
-    fingerprint = config_fingerprint(
-        config, {"kind": "bpr", "model": type(model).__name__}
-    )
-
-    best_metric = -np.inf
-    best_epoch = -1
-    best_state = None
-    bad_evals = 0
-    history: List[dict] = []
-    start = time.time()
-    step = 0
-    epochs_run = 0
-    start_epoch = 0
-
-    resumed = resolve_resume(config.resume_from, manager)
-    if resumed is not None:
-        if resumed.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                "checkpoint/config mismatch: the snapshot was written under "
-                f"fingerprint {resumed.get('fingerprint')!r} but this run "
-                f"has {fingerprint!r}; resume with the same optimisation "
-                "settings (the epoch budget may differ)"
-            )
-        model.load_state_dict(resumed["model"])
-        if resumed.get("model_extra") is not None:
-            model.set_extra_state(resumed["model_extra"])
-        optimizer.load_state_dict(resumed["optimizer"])
-        if scheduler is not None and resumed["scheduler"] is not None:
-            scheduler.load_state_dict(resumed["scheduler"])
-        set_rng_state(rng, resumed["rng"])
-        sampler.load_state_dict(resumed["sampler"])
-        best = resumed["best"]
-        best_metric = -np.inf if best["metric"] is None else best["metric"]
-        best_epoch = best["epoch"]
-        best_state = best["state"]
-        bad_evals = best["bad_evals"]
-        history = list(resumed["history"])
-        step = resumed["step"]
-        epochs_run = resumed["epochs_run"]
-        start_epoch = resumed["epoch"]
-        model.begin_step()
-
-    def snapshot(next_epoch: int) -> dict:
-        """Full training state at an epoch boundary (bit-exact)."""
-        return {
-            "version": 1,
-            "kind": "bpr",
-            "fingerprint": fingerprint,
-            "epoch": next_epoch,
-            "step": step,
-            "epochs_run": epochs_run,
-            "model": model.state_dict(),
-            "model_extra": (
-                model.get_extra_state()
-                if hasattr(model, "get_extra_state") else None
-            ),
-            "optimizer": optimizer.state_dict(),
-            "scheduler": None if scheduler is None else scheduler.state_dict(),
-            "rng": rng_state(rng),
-            "sampler": sampler.state_dict(),
-            "best": {
-                "metric": None if best_state is None else float(best_metric),
-                "epoch": best_epoch,
-                "state": best_state,
-                "bad_evals": bad_evals,
-            },
-            "history": history,
-        }
-
-    with tracer.span(
-        "train", kind="bpr", model=type(model).__name__
-    ) as train_span:
-        for epoch in range(start_epoch, config.epochs):
-            epochs_run = epoch + 1
-            stop_early = False
-            with tracer.span("epoch", index=epoch) as epoch_span:
-                epoch_loss = 0.0
-                num_batches = 0
-                model.train()
-                model.refresh_epoch(epoch)
-                for batch in sampler.epoch(config.batch_size):
-                    model.begin_step()
-                    loss = model.bpr_loss(batch)
-                    extra = model.extra_loss(rng)
-                    if extra is not None:
-                        loss = loss + extra
-                    optimizer.zero_grad()
-                    loss.backward()
-                    if config.clip_norm is not None:
-                        clip_grad_norm(
-                            optimizer.parameters, config.clip_norm
-                        )
-                    optimizer.step()
-                    epoch_loss += loss.item()
-                    num_batches += 1
-                    step += 1
-                    testing.check(testing.TRAINER_STEP)
-                if scheduler is not None:
-                    scheduler.step()
-
-                record = {
-                    "epoch": epoch, "loss": epoch_loss / max(num_batches, 1)
-                }
-                metrics.gauge("bpr.loss").set(record["loss"])
-                if (
-                    (epoch + 1) % config.eval_every == 0
-                    or epoch == config.epochs - 1
-                ):
-                    model.eval()
-                    model.begin_step()
-                    with tracer.span("eval", metric=metric_key):
-                        result = evaluator.evaluate(model, tracer=tracer)
-                    record[metric_key] = result[metric_key]
-                    metrics.gauge(f"bpr.valid.{metric_key}").set(
-                        result[metric_key]
-                    )
-                    if config.verbose:
-                        print(
-                            f"[{model.__class__.__name__}] epoch {epoch}: "
-                            f"loss={record['loss']:.4f} "
-                            f"{metric_key}={result[metric_key]:.4f}"
-                        )
-                    if result[metric_key] > best_metric:
-                        best_metric = result[metric_key]
-                        best_epoch = epoch
-                        best_state = model.state_dict()
-                        bad_evals = 0
-                    else:
-                        bad_evals += 1
-                        if bad_evals >= config.patience:
-                            stop_early = True
-                epoch_span.set_attributes(
-                    loss=record["loss"], steps=num_batches
-                )
-            fusion.record_metrics(metrics)
-            history.append(record)
-            if stop_early:
-                break
-            if (
-                manager is not None
-                and (epoch + 1) % config.checkpoint_every == 0
-            ):
-                manager.save(
-                    snapshot(next_epoch=epoch + 1),
-                    step=step,
-                    metric=record.get(metric_key),
-                )
-            testing.check(testing.TRAINER_EPOCH)
-        train_span.set_attributes(
-            best_metric=float(best_metric) if best_metric > -np.inf else 0.0,
-            epochs_run=epochs_run,
-        )
-
-    if best_state is not None:
-        model.load_state_dict(best_state)
-        model.begin_step()
-    model.eval()
-    return TrainResult(
-        best_metric=float(best_metric) if best_metric > -np.inf else 0.0,
-        best_epoch=best_epoch,
-        epochs_run=epochs_run,
-        wall_time=time.time() - start,
-        history=history,
-    )
+    return run_training(BPRStep(model, split, config), split, config, evaluator)

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from repro import testing
-from repro.ckpt import CheckpointError, CheckpointManager, checksum
+from repro.ckpt import (
+    CheckpointError,
+    CheckpointManager,
+    checksum,
+    read_checkpoint,
+)
 from repro.core import IMCAT, IMCATConfig, IMCATTrainConfig, IMCATTrainer
 from repro.data import generate_preset, split_dataset
 from repro.models import BPRMF, TrainConfig, fit_bpr
@@ -409,3 +414,79 @@ class TestFaultInjection:
         assert any(name.endswith(".tmp") for name in os.listdir(tmp_path))
         CheckpointManager(str(tmp_path))  # restart cleans the torn write
         assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path))
+
+
+def _key_paths(node, prefix=""):
+    """Dotted paths of every leaf of a nested dict."""
+    if not isinstance(node, dict):
+        return {prefix}
+    paths = set()
+    for key, value in node.items():
+        paths |= _key_paths(value, f"{prefix}.{key}" if prefix else key)
+    return paths
+
+
+def _one_epoch_snapshot(train, directory):
+    model = train(str(directory))
+    entries = CheckpointManager(str(directory)).entries()
+    assert len(entries) == 1
+    state = read_checkpoint(os.path.join(str(directory), entries[0]["file"]))
+    # Parameter names belong to the model, not to the snapshot schema.
+    params = set(model.state_dict())
+    assert set(state.pop("model")) == params
+    assert set(state["best"].pop("state")) == params
+    return state
+
+
+RNG_PATHS = {"bit_generator", "has_uint32", "state.inc", "state.state",
+             "uinteger"}
+COMMON_PATHS = (
+    {"version", "kind", "fingerprint", "epoch", "step", "epochs_run",
+     "optimizer.lr", "optimizer.m", "optimizer.step", "optimizer.v",
+     "best.metric", "best.epoch", "best.bad_evals", "history"}
+    | {f"rng.{path}" for path in RNG_PATHS}
+)
+
+
+class TestSnapshotSchema:
+    """The on-disk key tree each training kind writes.  Snapshots from
+    earlier versions must keep resuming, so this tree only grows."""
+
+    def test_bpr_snapshot_keys(self, resume_split, tmp_path):
+        _, split = resume_split
+
+        def train(directory):
+            model = make_bprmf(resume_split)
+            fit_bpr(model, split, bpr_config(epochs=1, checkpoint_dir=directory))
+            return model
+
+        state = _one_epoch_snapshot(train, tmp_path)
+        assert state["version"] == 1
+        assert state["kind"] == "bpr"
+        assert _key_paths(state) == COMMON_PATHS | {
+            "model_extra", "scheduler",
+        } | {f"sampler.rng.{path}" for path in RNG_PATHS}
+
+    def test_imcat_snapshot_keys(self, resume_split, tmp_path):
+        _, split = resume_split
+
+        def train(directory):
+            model = make_imcat(resume_split)
+            IMCATTrainer(
+                model, split,
+                imcat_config(epochs=1, checkpoint_dir=directory),
+            ).fit()
+            return model
+
+        state = _one_epoch_snapshot(train, tmp_path)
+        assert state["version"] == 1
+        assert state["kind"] == "imcat"
+        assert _key_paths(state) == COMMON_PATHS | {
+            "model_extra.clustering_active", "model_extra.kl_target",
+            "model_extra.tag_clusters", "model_extra.user_subsample",
+            "cyclers.triplets.cursor", "cyclers.triplets.order",
+            "cyclers.items.cursor", "cyclers.items.order",
+        } | {
+            f"samplers.{name}.rng.{path}"
+            for name in ("ui", "it") for path in RNG_PATHS
+        }

@@ -140,3 +140,58 @@ class TestScheduleAndClipping:
         )
         assert result.epochs_run == 2
         assert np.all(np.isfinite(model.user_embedding.weight.data))
+
+
+class TestConfigValidation:
+    """Counts below 1 fail at construction, not epochs into a run."""
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize(
+        "field_name",
+        ["batch_size", "eval_every", "checkpoint_every", "patience",
+         "top_n", "keep_last"],
+    )
+    @pytest.mark.parametrize("config_cls", ["TrainConfig", "IMCATTrainConfig"])
+    def test_train_config_rejects_counts_below_one(
+        self, config_cls, field_name, value
+    ):
+        from repro.core import IMCATTrainConfig
+
+        cls = {"TrainConfig": TrainConfig,
+               "IMCATTrainConfig": IMCATTrainConfig}[config_cls]
+        with pytest.raises(ValueError, match=field_name):
+            cls(**{field_name: value})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize(
+        "field_name", ["cluster_refresh_every", "align_batch_size"]
+    )
+    def test_imcat_config_rejects_counts_below_one(self, field_name, value):
+        from repro.core import IMCATConfig
+
+        with pytest.raises(ValueError, match=field_name):
+            IMCATConfig(**{field_name: value})
+
+    def test_ones_accepted(self):
+        from repro.core import IMCATConfig, IMCATTrainConfig
+
+        ones = dict(batch_size=1, eval_every=1, checkpoint_every=1,
+                    patience=1, top_n=1, keep_last=1)
+        TrainConfig(**ones)
+        IMCATTrainConfig(**ones)
+        IMCATConfig(cluster_refresh_every=1, align_batch_size=1)
+
+    def test_field_counts(self):
+        """The shared fields are declared once; each config keeps its
+        own field set (the snapshot fingerprints digest them)."""
+        from dataclasses import fields
+
+        from repro.core import IMCATTrainConfig
+
+        assert len(fields(IMCATTrainConfig)) == 14
+        assert len(fields(TrainConfig)) == 16
+        assert {f.name for f in fields(TrainConfig)} - {
+            f.name for f in fields(IMCATTrainConfig)
+        } == {"lr_schedule", "clip_norm"}
+        assert IMCATTrainConfig().epochs == 60
+        assert TrainConfig().epochs == 100

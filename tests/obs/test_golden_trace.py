@@ -1,4 +1,4 @@
-"""Golden-trace regression: the span structure of a 2-epoch IMCAT run.
+"""Golden-trace regression: the span structure of 2-epoch training runs.
 
 Pins the *shape* of the trace a traced training run produces — span
 names, nesting, and counts via :func:`repro.obs.span_structure` — not
@@ -12,18 +12,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import IMCAT, IMCATConfig, IMCATTrainConfig, IMCATTrainer
 from repro.data.sampling import BPRSampler
-from repro.models import BPRMF
+from repro.models import BPRMF, TrainConfig, fit_bpr
 from repro.obs import Tracer, span_structure, validate_trace
 
 BATCH_SIZE = 4096
+BPR_BATCH_SIZE = 256  # several steps per epoch
 CHUNK_SIZE = 256  # the evaluator default
 
 
-def _count_batches(split) -> int:
+def _count_batches(split, batch_size=BATCH_SIZE) -> int:
     sampler = BPRSampler(split.train, seed=0)
-    return sum(1 for _ in sampler.epoch(BATCH_SIZE))
+    return sum(1 for _ in sampler.epoch(batch_size))
 
 
 def _leaf(name):
@@ -161,3 +163,73 @@ class TestGoldenTrace:
         assert span_structure(second.records()) == span_structure(
             tracer.records()
         )
+
+
+@pytest.fixture(scope="module")
+def bpr_golden_run(small_dataset, small_split):
+    """One traced 2-epoch ``fit_bpr`` run of BPRMF on the global tracer."""
+    model = BPRMF(
+        small_dataset.num_users, small_dataset.num_items, 16,
+        np.random.default_rng(0),
+    )
+    tracer = Tracer()
+    previous = obs.set_tracer(tracer)
+    try:
+        result = fit_bpr(
+            model, small_split,
+            TrainConfig(
+                epochs=2, batch_size=BPR_BATCH_SIZE, eval_every=1,
+                patience=10,
+            ),
+        )
+    finally:
+        obs.set_tracer(previous)
+    return tracer, result
+
+
+class TestBPRGoldenTrace:
+    """``fit_bpr`` runs the same loop, so it records the same phases."""
+
+    def test_trace_validates(self, bpr_golden_run):
+        tracer, _ = bpr_golden_run
+        assert validate_trace(tracer.records()) is None
+
+    def test_span_structure_matches_golden(self, bpr_golden_run, small_split):
+        tracer, _ = bpr_golden_run
+        n_batches = _count_batches(small_split, BPR_BATCH_SIZE)
+        assert n_batches > 1
+        valid_users = sum(
+            1 for items in small_split.valid.items_of_user() if len(items)
+        )
+        n_chunks = -(-valid_users // CHUNK_SIZE)
+        # Consecutive identical siblings fold into one entry with a count.
+        assert span_structure(tracer.records()) == [
+            ("train", 1, [
+                ("epoch", 2, _epoch_children(n_batches, n_chunks, [])),
+            ]),
+        ]
+
+    def test_attributes_present_on_key_spans(self, bpr_golden_run):
+        tracer, _ = bpr_golden_run
+        records = tracer.records()
+        train = next(r for r in records if r["name"] == "train")
+        assert train["attributes"]["kind"] == "bpr"
+        assert train["attributes"]["model"] == "BPRMF"
+        assert train["attributes"]["epochs_run"] == 2
+        epochs = [r for r in records if r["name"] == "epoch"]
+        assert [e["attributes"]["index"] for e in epochs] == [0, 1]
+        assert all("loss" in e["attributes"] for e in epochs)
+
+    def test_result_carries_phase_breakdown(self, bpr_golden_run, small_split):
+        _, result = bpr_golden_run
+        n_batches = _count_batches(small_split, BPR_BATCH_SIZE)
+        assert result.perf is not None
+        timers = result.perf.timers
+        # Every step plus the exhausted final draw, per epoch.
+        assert timers["sampling"]["count"] == 2 * (n_batches + 1)
+        assert timers["forward"]["count"] == 2 * n_batches
+        assert timers["backward"]["count"] == 2 * n_batches
+        assert timers["eval"]["count"] == 2
+        assert timers["eval/score"]["count"] > 0
+        assert result.perf.counters["steps"] == 2 * n_batches
+        assert result.perf.counters["evals"] == 2

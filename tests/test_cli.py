@@ -71,3 +71,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "BPRMF" in out
         assert "R@20" in out
+
+
+class TestValidation:
+    def test_checkpoint_every_zero_fails_before_training(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        ckpt = tmp_path / "ckpt"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--dataset", "hetrec-del",
+             "--method", "BPRMF", "--scale", "0.02", "--epochs", "2",
+             "--batch-size", "256", "--checkpoint-dir", str(ckpt),
+             "--checkpoint-every", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "checkpoint_every must be >= 1" in proc.stderr
+        assert "ZeroDivisionError" not in proc.stderr
+        # Rejected before the loop built anything: no snapshot directory.
+        assert not ckpt.exists()
