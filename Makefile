@@ -27,7 +27,7 @@ concurrency-smoke:
 	$(PYTHON) -m repro.lint --concurrency src
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -q \
 		tests/testing/test_lockset.py tests/serve/test_concurrency.py \
-		tests/perf/test_thread_safety.py tests/analysis
+		tests/obs/test_metrics.py tests/analysis
 
 bench-smoke:
 	$(PYTHON) -m repro.bench smoke
@@ -117,9 +117,10 @@ proc-smoke:
 retrieval-smoke:
 	$(PYTHON) -m repro.retrieval smoke
 
-# Observability smoke: run a 1-epoch traced training, then prove the
-# artifacts are machine-readable — the trace renders through the report
-# CLI and the Prometheus exposition parses back.
+# Observability smoke: run a 1-epoch traced training and a traced
+# 20-request serving session, then prove the artifacts are
+# machine-readable — each trace renders through the report CLI and each
+# Prometheus exposition parses back.
 obs-smoke:
 	rm -rf .obs-smoke && mkdir -p .obs-smoke
 	$(PYTHON) -m repro run --dataset hetrec-del --method BPRMF \
@@ -128,4 +129,10 @@ obs-smoke:
 		--metrics-out .obs-smoke/metrics.prom
 	$(PYTHON) -m repro.obs report .obs-smoke/trace.jsonl \
 		--metrics .obs-smoke/metrics.prom
+	$(PYTHON) -m repro.serve --dataset hetrec-del --method BPRMF \
+		--scale 0.02 --epochs 1 --batch-size 256 --requests 20 \
+		--trace-out .obs-smoke/serve-trace.jsonl \
+		--metrics-out .obs-smoke/serve-metrics.prom
+	$(PYTHON) -m repro.obs report .obs-smoke/serve-trace.jsonl \
+		--metrics .obs-smoke/serve-metrics.prom
 	rm -rf .obs-smoke

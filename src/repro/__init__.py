@@ -8,9 +8,9 @@ Subpackages:
 - :mod:`repro.models` — backbones (BPRMF/NeuMF/LightGCN) and baselines;
 - :mod:`repro.core` — the IMCAT method (IRM + IMCA + ISA + trainer);
 - :mod:`repro.eval` — ranking metrics, evaluator, group analyses;
-- :mod:`repro.perf` — timers/counters instrumentation for perf reports;
 - :mod:`repro.obs` — unified observability (hierarchical trace spans,
-  metrics registry with Prometheus/JSONL export, sampling profiler);
+  a metrics registry holding every phase timing and counter, with
+  Prometheus/JSONL export, and a sampling profiler);
 - :mod:`repro.ckpt` — fault-tolerant checkpoint/resume (atomic rolling
   snapshots of the full training state, bit-exact continuation);
 - :mod:`repro.testing` — fault-injection harness (crash points, I/O
@@ -46,7 +46,6 @@ from . import (  # noqa: F401
     models,
     nn,
     obs,
-    perf,
     serve,
     testing,
 )
@@ -54,6 +53,6 @@ from .io import load_model, save_model
 
 __all__ = [
     "bench", "ckpt", "core", "data", "eval", "load_model", "models",
-    "nn", "obs", "perf", "save_model", "serve", "testing",
+    "nn", "obs", "save_model", "serve", "testing",
     "__version__",
 ]

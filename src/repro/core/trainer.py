@@ -22,7 +22,6 @@ from ..data.split import Split
 from ..eval.evaluator import Evaluator
 from ..models.training import BaseTrainConfig, TrainResult, TrainStep, run_training
 from ..nn import Tensor
-from ..perf import StopwatchRegistry
 from .config import IMCATConfig
 from .imcat import IMCAT
 
@@ -62,9 +61,9 @@ class IMCATStep(TrainStep):
         # item metadata, not held-out interactions).
         self.it_sampler = ItemTagSampler(split.train, seed=config.seed + 1)
 
-    def start(self, snapshot, rng, optimizer, perf, tracer) -> None:
+    def start(self, snapshot, rng, optimizer, tracer) -> None:
         model: IMCAT = self.model
-        self.rng, self.perf, self.tracer = rng, perf, tracer
+        self.rng, self.tracer = rng, tracer
         if model.tracer is None:
             model.tracer = tracer
         # Auxiliary batch streams: index arrays are cached once and
@@ -85,21 +84,24 @@ class IMCATStep(TrainStep):
         self.item_batches.load_state_dict(snapshot["cyclers"]["items"])
 
     def refresh_clusters(self) -> None:
-        """One membership refresh, with the drift gauge updated.
+        """One membership refresh, timed into the
+        ``trainer.cluster_refresh_seconds`` histogram, with the drift
+        gauge updated.
 
         Drift is the fraction of tags whose hard cluster changed — the
         convergence signal the end-to-end clustering (and ELCRec-style
         variants) are tuned against.
         """
         model: IMCAT = self.model
-        with self.perf.timed("cluster-refresh"):
-            with self.tracer.span("cluster-refresh") as span:
-                before = model.tag_clusters.copy()
-                model.refresh_clusters(self.rng)
-                drift = (float(np.mean(before != model.tag_clusters))
-                         if before.size else 0.0)
-                span.set_attribute("drift", drift)
-        obs.get_metrics().gauge("trainer.cluster_drift").set(drift)
+        metrics = obs.get_metrics()
+        with (metrics.timed("trainer.cluster_refresh_seconds"),
+              self.tracer.span("cluster-refresh") as span):
+            before = model.tag_clusters.copy()
+            model.refresh_clusters(self.rng)
+            drift = (float(np.mean(before != model.tag_clusters))
+                     if before.size else 0.0)
+            span.set_attribute("drift", drift)
+        metrics.gauge("trainer.cluster_drift").set(drift)
 
     def batches(self) -> Iterator[tuple]:
         return (
@@ -145,8 +147,6 @@ class IMCATTrainer:
             ``split.train``, early stopping from ``split.valid``.
         train_config: optimisation settings.
         evaluator: optional custom validation evaluator.
-        perf: optional timer registry to record phase timings into
-            (a fresh one is created per :meth:`fit` call otherwise).
         tracer: optional :class:`repro.obs.Tracer`; falls back to the
             process-global tracer (disabled by default).  When tracing
             is on, the run records the span tree of
@@ -161,7 +161,6 @@ class IMCATTrainer:
         split: Split,
         train_config: Optional[IMCATTrainConfig] = None,
         evaluator: Optional[Evaluator] = None,
-        perf: Optional[StopwatchRegistry] = None,
         tracer: Optional[obs.Tracer] = None,
     ) -> None:
         self.model = model
@@ -171,7 +170,6 @@ class IMCATTrainer:
             split.train, split.valid, top_n=(self.config.top_n,),
             metrics=("recall",),
         )
-        self.perf = perf
         self.tracer = tracer
 
     def fit(self) -> TrainResult:
@@ -184,4 +182,4 @@ class IMCATTrainer:
         """
         step = IMCATStep(self.model, self.split, self.config)
         return run_training(step, self.split, self.config, self.evaluator,
-                            perf=self.perf, tracer=self.tracer)
+                            tracer=self.tracer)

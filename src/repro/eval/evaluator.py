@@ -24,7 +24,6 @@ import numpy as np
 from .. import obs
 from ..data.dataset import TagRecDataset
 from ..nn import no_grad
-from ..perf import StopwatchRegistry
 from .metrics import METRIC_FUNCTIONS, rank_items
 
 
@@ -121,7 +120,6 @@ class Evaluator:
         self,
         model,
         chunk_size: int = 256,
-        perf: Optional[StopwatchRegistry] = None,
         tracer: Optional[obs.Tracer] = None,
         approximate: bool = False,
         index=None,
@@ -130,13 +128,13 @@ class Evaluator:
         """Evaluate ``model`` (anything exposing ``all_scores(users)``).
 
         ``all_scores(users)`` must return an ``(len(users), |V|)`` score
-        array without tracking gradients.
+        array without tracking gradients.  Per-chunk phase timings go
+        to the ``eval.{score,rank,metrics}_seconds`` histograms of
+        :func:`repro.obs.get_metrics`.
 
         Args:
             model: the scorer.
             chunk_size: users ranked per ``all_scores`` call.
-            perf: optional timer registry; when given, the phases
-                ``score`` / ``rank`` / ``metrics`` are recorded.
             tracer: optional :class:`repro.obs.Tracer` (falls back to
                 the process-global tracer); records per-chunk
                 ``eval:score`` / ``eval:rank`` spans and one
@@ -153,7 +151,7 @@ class Evaluator:
                 eval against a stale index would silently misreport.
             n_probe: partitions probed per user in approximate mode.
         """
-        perf = perf if perf is not None else StopwatchRegistry()
+        metrics = obs.get_metrics()
         tracer = obs.resolve_tracer(tracer)
         if approximate:
             # Local import: retrieval depends on ckpt/obs, the eval
@@ -171,7 +169,8 @@ class Evaluator:
         }
         for start in range(0, len(self.eval_users), chunk_size):
             users = self.eval_users[start : start + chunk_size]
-            with perf.timed("score"), tracer.span("eval:score", users=len(users)):
+            with (metrics.timed("eval.score_seconds"),
+                  tracer.span("eval:score", users=len(users))):
                 # Scoring runs under no_grad so a model that forgets to
                 # detach cannot grow the tape across the full |U| x |V|
                 # ranking; the copy is needed because the chunk is
@@ -184,9 +183,10 @@ class Evaluator:
                     f"all_scores returned {scores.shape[0]} rows for "
                     f"{len(users)} users"
                 )
-            with perf.timed("rank"), tracer.span("eval:rank"):
+            with (metrics.timed("eval.rank_seconds"),
+                  tracer.span("eval:rank")):
                 hits = self._rank_chunk(scores, start, len(users), max_n)
-            with perf.timed("metrics"):
+            with metrics.timed("eval.metrics_seconds"):
                 relevant = self._rel_counts[start : start + len(users)]
                 for key, values in self._chunk_metrics(
                     hits, relevant, tracer

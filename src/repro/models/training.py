@@ -32,7 +32,6 @@ from ..data.split import Split
 from ..eval.evaluator import Evaluator
 from ..nn import Adam, CosineAnnealing, StepDecay, clip_grad_norm, detect_anomaly
 from ..nn import Tensor, fusion
-from ..perf import CounterRegistry, PerfReport, StopwatchRegistry
 from .base import Recommender
 
 
@@ -100,14 +99,14 @@ class TrainConfig(BaseTrainConfig):
 
 @dataclass
 class TrainResult:
-    """Outcome of a training run, with its phase timings in ``perf``."""
+    """Outcome of a training run (phase timings and step counts are
+    recorded into :func:`repro.obs.get_metrics`)."""
 
     best_metric: float
     best_epoch: int
     epochs_run: int
     wall_time: float
     history: List[dict] = field(default_factory=list)
-    perf: Optional[PerfReport] = field(default=None, repr=False)
 
 
 class TrainStep:
@@ -118,7 +117,7 @@ class TrainStep:
     ``span_attributes`` (of the ``train`` span) and ``clip_norm``, and
     implements
 
-    - ``start(snapshot, rng, optimizer, perf, tracer)``: build the
+    - ``start(snapshot, rng, optimizer, tracer)``: build the
       per-run state, restored from ``snapshot`` when resuming (``None``
       on a fresh start);
     - ``batches()``: one epoch of batches, tuples of ``loss`` arguments
@@ -170,7 +169,7 @@ class BPRStep(TrainStep):
         self.sampler = BPRSampler(split.train, seed=config.seed)
         self.scheduler = None
 
-    def start(self, snapshot, rng, optimizer, perf, tracer) -> None:
+    def start(self, snapshot, rng, optimizer, tracer) -> None:
         self.rng = rng
         epochs = self.config.epochs
         if self.config.lr_schedule == "cosine":
@@ -209,7 +208,6 @@ def run_training(
     split: Split,
     config: BaseTrainConfig,
     evaluator: Optional[Evaluator] = None,
-    perf: Optional[StopwatchRegistry] = None,
     tracer: Optional[obs.Tracer] = None,
 ) -> TrainResult:
     """Train ``step.model`` on ``split.train``, early-stopping on
@@ -217,10 +215,14 @@ def run_training(
 
     The run records a ``train`` → ``epoch`` → ``sampling`` /
     ``forward`` / ``backward`` / ``eval`` span tree on ``tracer``
-    (default: the process-global one), times the same phases into
-    ``perf`` (default: a fresh registry), and sets the ``trainer.loss``
-    / ``trainer.valid.*`` gauges.  ``config.detect_anomaly`` wraps the
-    run in :class:`repro.nn.detect_anomaly`.
+    (default: the process-global one).  Into
+    :func:`repro.obs.get_metrics` it records the same phases as
+    ``trainer.{sampling,forward,backward,eval,checkpoint}_seconds``
+    histograms (plus ``trainer.epoch_seconds``), the
+    ``trainer.{steps,triplets,evals,checkpoints}`` counters and the
+    ``trainer.loss`` / ``trainer.valid.*`` gauges.
+    ``config.detect_anomaly`` wraps the run in
+    :class:`repro.nn.detect_anomaly`.
     """
     model = step.model
     tracer = obs.resolve_tracer(tracer)
@@ -234,8 +236,6 @@ def run_training(
         metric_key = f"recall@{config.top_n}"
         optimizer = Adam(model.parameters(), lr=config.learning_rate,
                          weight_decay=config.weight_decay)
-        perf = perf if perf is not None else StopwatchRegistry()
-        counters = CounterRegistry()
         metrics = obs.get_metrics()
         manager = None if config.checkpoint_dir is None else CheckpointManager(
             config.checkpoint_dir, keep_last=config.keep_last, tracer=tracer
@@ -269,7 +269,7 @@ def run_training(
             global_step, epochs_run, start_epoch = (
                 resumed["step"], resumed["epochs_run"], resumed["epoch"]
             )
-        step.start(resumed, rng, optimizer, perf, tracer)
+        step.start(resumed, rng, optimizer, tracer)
         if resumed is not None:
             model.begin_step()
 
@@ -296,8 +296,7 @@ def run_training(
             epochs_run = epoch + 1
             step.epoch_start(epoch)
             stop_early = False
-            epoch_start = time.perf_counter()
-            with tracer.span(
+            with metrics.timed("trainer.epoch_seconds"), tracer.span(
                 "epoch", index=epoch, **step.epoch_attributes()
             ) as epoch_span:
                 epoch_loss = 0.0
@@ -306,14 +305,17 @@ def run_training(
                 model.refresh_epoch(epoch)
                 batches = step.batches()
                 while True:
-                    with perf.timed("sampling"), tracer.span("sampling"):
+                    with (metrics.timed("trainer.sampling_seconds"),
+                          tracer.span("sampling")):
                         batch = next(batches, None)
                     if batch is None:
                         break
                     model.begin_step()
-                    with perf.timed("forward"), tracer.span("forward"):
+                    with (metrics.timed("trainer.forward_seconds"),
+                          tracer.span("forward")):
                         loss = step.loss(*batch)
-                    with perf.timed("backward"), tracer.span("backward"):
+                    with (metrics.timed("trainer.backward_seconds"),
+                          tracer.span("backward")):
                         optimizer.zero_grad()
                         loss.backward()
                         if step.clip_norm is not None:
@@ -322,8 +324,8 @@ def run_training(
                     epoch_loss += loss.item()
                     num_batches += 1
                     global_step += 1
-                    counters.add("steps")
-                    counters.add("triplets", len(batch[0]))
+                    metrics.add("trainer.steps")
+                    metrics.add("trainer.triplets", len(batch[0]))
                     testing.check(testing.TRAINER_STEP)
                     step.after_step(global_step)
                 step.epoch_end(epoch)
@@ -334,11 +336,12 @@ def run_training(
                 if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
                     model.eval()
                     model.begin_step()
-                    with perf.timed("eval"), tracer.span("eval") as eval_span:
-                        scores = evaluator.evaluate(model, perf=perf, tracer=tracer)
+                    with (metrics.timed("trainer.eval_seconds"),
+                          tracer.span("eval") as eval_span):
+                        scores = evaluator.evaluate(model, tracer=tracer)
                         value = record[metric_key] = scores[metric_key]
                         eval_span.set_attribute("metric", value)
-                    counters.add("evals")
+                    metrics.add("trainer.evals")
                     metrics.gauge(f"trainer.valid.{metric_key}").set(value)
                     if config.verbose:
                         print(f"[{step.label}] epoch {epoch}: "
@@ -353,14 +356,11 @@ def run_training(
                 if not stop_early and manager is not None and (
                     (epoch + 1) % config.checkpoint_every == 0
                 ):
-                    with perf.timed("checkpoint"):
+                    with metrics.timed("trainer.checkpoint_seconds"):
                         manager.save(snapshot(next_epoch=epoch + 1),
                                      step=global_step, metric=record.get(metric_key))
-                    counters.add("checkpoints")
-            fusion.record_metrics(metrics)
-            metrics.histogram("trainer.epoch_seconds").observe(
-                time.perf_counter() - epoch_start
-            )
+                    metrics.add("trainer.checkpoints")
+                fusion.record_metrics(metrics)
             if stop_early:
                 break
             testing.check(testing.TRAINER_EPOCH)
@@ -375,7 +375,6 @@ def run_training(
             epochs_run=epochs_run,
             wall_time=time.time() - start,
             history=history,
-            perf=PerfReport.from_registries(perf, counters),
         )
         train_span.set_attributes(best_metric=result.best_metric, epochs_run=epochs_run)
     return result

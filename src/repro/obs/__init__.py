@@ -6,7 +6,7 @@ The layer every other subsystem reports into:
   (span ids, parent links, wall + CPU time, structured attributes)
   with JSONL export and a near-zero-overhead disabled path;
 - :class:`MetricsRegistry` — counters, gauges, and exponential-bucket
-  histograms; a drop-in superset of :class:`repro.perf.CounterRegistry`;
+  histograms; :meth:`MetricsRegistry.timed` records phase timings;
 - :mod:`repro.obs.export` — JSONL and Prometheus text exposition
   exporters plus parsers (the round-trip the CI smoke validates);
 - :class:`SamplingProfiler` — an opt-in periodic stack sampler;
@@ -17,8 +17,12 @@ The trainer, evaluator, serving stack, and checkpoint manager all
 accept an explicit ``tracer=``; when omitted they fall back to the
 process-global tracer, which is **disabled by default** — enable it
 with :func:`enable_tracing` (the ``--trace-out`` CLI flags do this).
-A matching process-global :class:`MetricsRegistry` collects gauges and
-histograms the same way.
+A matching process-global :class:`MetricsRegistry` is always on: the
+training loop, the evaluator and the serving stack record their phase
+histograms (``trainer.*_seconds``, ``eval.*_seconds``,
+``serve.*_seconds``) and counters into it.  For a per-run breakdown,
+install a fresh registry with :func:`set_metrics` and print
+``format_metrics_table(registry.snapshot())``.
 """
 
 from __future__ import annotations

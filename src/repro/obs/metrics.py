@@ -1,14 +1,11 @@
 """Counters, gauges, and exponential-bucket histograms.
 
 :class:`MetricsRegistry` is the metric store behind the observability
-layer.  It subsumes :class:`repro.perf.CounterRegistry`: the full
-counter API (``add`` / ``get`` / ``counts`` / ``rate`` / ``as_dict`` /
-``merge`` / ``reset``) is implemented with identical semantics, so a
-``MetricsRegistry`` can be passed anywhere the trainer, evaluator, or
-serving stack expects a plain counter registry — while also collecting
-gauges (last-value metrics such as loss or cluster drift) and
-histograms (latency distributions) for the Prometheus and JSONL
-exporters in :mod:`repro.obs.export`.
+layer and the one instrument for counts and timings: counters (work
+done: steps, requests, degraded answers), gauges (last-value metrics
+such as loss or cluster drift) and histograms (phase and request
+latencies, fed by :meth:`MetricsRegistry.timed`), all exported by the
+Prometheus and JSONL writers in :mod:`repro.obs.export`.
 
 All mutations are lock-protected, matching the thread-safety contract
 the serving stack needs under concurrent traffic.
@@ -18,7 +15,9 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Sequence
+import time
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..concurrency import new_lock, shared_state
 
@@ -134,9 +133,6 @@ class Histogram:
 class MetricsRegistry:
     """Named counters, gauges, and histograms behind one lock.
 
-    Counter-compatible with :class:`repro.perf.CounterRegistry` so it
-    drops into every existing ``counters=`` parameter unchanged.
-
     The registry shares its one lock with every instrument it creates:
     instrument mutations and registry snapshots can never interleave,
     and there is a single lock order by construction.
@@ -176,11 +172,22 @@ class MetricsRegistry:
                 )
         return found
 
+    @contextmanager
+    def timed(self, name: str) -> Iterator[None]:
+        """Observe the seconds spent inside the block into histogram
+        ``name`` (also when the block raises)."""
+        histogram = self.histogram(name)
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            histogram.observe(time.perf_counter() - start)
+
     # ------------------------------------------------------------------
-    # CounterRegistry-compatible surface
+    # counter shorthands
     # ------------------------------------------------------------------
     def add(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``name`` (CounterRegistry semantics)."""
+        """Increment counter ``name`` by ``amount`` (created at zero)."""
         self.counter(name).inc(int(amount))
 
     def get(self, name: str) -> int:
@@ -201,7 +208,7 @@ class MetricsRegistry:
         return {name: counts[name] for name in sorted(counts)}
 
     def merge(self, other) -> None:
-        """Fold another registry's counters (perf or obs) into this one."""
+        """Fold another registry's counters into this one."""
         for name, amount in other.counts().items():
             self.add(name, amount)
 
@@ -238,18 +245,3 @@ class MetricsRegistry:
                     for n, h in sorted(self._histograms.items())
                 },
             }
-
-    def absorb_perf(self, counters=None, timers=None) -> None:
-        """Fold a :mod:`repro.perf` registry pair into this registry.
-
-        Counters merge by name; each timer scope becomes a histogram
-        fed the scope's mean (count times), preserving totals for the
-        exporters without requiring per-event retention in perf.
-        """
-        if counters is not None:
-            self.merge(counters)
-        if timers is not None:
-            for path, stat in timers.stats().items():
-                hist = self.histogram(f"perf.{path}")
-                for _ in range(stat.count):
-                    hist.observe(stat.mean)

@@ -245,9 +245,10 @@ class RetrievalTier:
             stale/missing index just reports ``None`` (exact fallback).
         popularity: per-item counts for the popularity head of built
             indexes.
-        counters: a :class:`repro.perf.CounterRegistry`-shaped sink for
+        counters: the :class:`repro.obs.MetricsRegistry` that counts
             routing outcomes (the service injects its own, so tier
-            counters land in ``health()``).
+            counters land in ``health()``); without one they go to
+            :func:`repro.obs.get_metrics`.  Each event is counted once.
     """
 
     def __init__(
@@ -279,9 +280,8 @@ class RetrievalTier:
         self._version: Optional[str] = None
 
     def _count(self, name: str) -> None:
-        if self.counters is not None:
-            self.counters.add(name)
-        obs.get_metrics().add(name)
+        counters = self.counters if self.counters is not None else obs.get_metrics()
+        counters.add(name)
 
     def index_for(self, provider: Any, model: Any) -> Optional[Any]:
         """The index to serve with, or ``None`` (→ exact fallback).

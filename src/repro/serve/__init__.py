@@ -12,7 +12,7 @@ stack covers every registered backbone):
   :mod:`repro.ckpt` directory with checksum + config-fingerprint
   validation and a post-swap canary probe that rolls a bad candidate
   back;
-- health/readiness probes and ``serve.*`` perf counters for operational
+- health/readiness probes and ``serve.*`` counters for operational
   visibility;
 - :class:`ShardedService` / :class:`ShardMap` — horizontal scale-out: a
   user-hash (jump-consistent) shard map over N worker replicas, each

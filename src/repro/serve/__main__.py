@@ -55,7 +55,6 @@ from ..bench import (
 )
 from ..bench.harness import prepare_split, run_recipe
 from ..data import DATASET_ORDER
-from ..perf import PerfReport
 from ..retrieval import RetrievalTier
 from .batching import MicroBatcher
 from .breaker import CLOSED, CircuitBreaker, OPEN
@@ -182,9 +181,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics-out", default=None, metavar="FILE",
         help="export serving metrics to FILE (Prometheus text format; "
-             ".json/.jsonl extensions switch to a JSONL snapshot)",
+             ".json/.jsonl extensions switch to a JSONL snapshot); the "
+             "services' serve.* counters are merged in first",
     )
     return parser
+
+
+def _report_metrics(args, services) -> None:
+    """Merge each in-process service's counters into the global
+    registry, print the ``serve.*`` metrics, and export the registry
+    when ``--metrics-out`` is set."""
+    registry = obs.get_metrics()
+    for service in services:
+        registry.merge(service.counters)
+    snapshot = {
+        kind: {n: v for n, v in entries.items() if n.startswith("serve.")}
+        for kind, entries in registry.snapshot().items()
+    }
+    print("\nserving perf")
+    print(obs.format_metrics_table(snapshot))
+    if args.metrics_out is not None:
+        if args.metrics_out.endswith((".json", ".jsonl")):
+            obs.write_metrics_jsonl(registry, args.metrics_out)
+        else:
+            obs.write_metrics(registry, args.metrics_out)
+        print(f"metrics: {args.metrics_out}")
 
 
 def _proc_chaos(total: int, workers: int, with_reload: bool):
@@ -273,6 +294,9 @@ def _run_pool(args, dataset, split, cell, deadline, retrieval_params) -> int:
         )
 
     hot_ttl = max(args.hot_ttl_ms, 0.0) / 1000.0
+    # In-process services whose counters the report merges; process
+    # workers keep theirs (worker telemetry is not shipped back).
+    services = []
     if args.backend == "process":
         if hot_reload:
             builder_fn = MODEL_BUILDERS[args.method]
@@ -305,9 +329,9 @@ def _run_pool(args, dataset, split, cell, deadline, retrieval_params) -> int:
         print(f"process pool up: {args.workers} supervised workers "
               f"(pids {[w.pid for w in pool.workers]})")
     else:
-        workers = [build_worker(wid) for wid in range(args.workers)]
+        services = [build_worker(wid) for wid in range(args.workers)]
         pool = ShardedService(
-            workers, popularity=popularity, down_cooldown=0.2,
+            services, popularity=popularity, down_cooldown=0.2,
             hot_ttl=hot_ttl,
         )
     if hot_reload:
@@ -348,6 +372,7 @@ def _run_pool(args, dataset, split, cell, deadline, retrieval_params) -> int:
             print(f"  worker {slot['worker']}: alive={slot['alive']} "
                   f"restarts={slot['restarts']} disabled={slot['disabled']}")
         pool.close()
+    _report_metrics(args, services)
 
     slo = SLO(
         p99_seconds=args.slo_p99_ms / 1000.0,
@@ -521,19 +546,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     health = service.health()
     print("\nhealth:", {k: v for k, v in health.items() if k != "counters"})
-    print(PerfReport.from_registries(service.timers, service.counters)
-          .format(title="serving perf"))
+    _report_metrics(args, [service])
 
     if args.trace_out is not None:
         obs.get_tracer().export_jsonl(args.trace_out)
         print(f"trace: {args.trace_out}")
-    if args.metrics_out is not None:
-        registry = obs.get_metrics()
-        if args.metrics_out.endswith((".json", ".jsonl")):
-            obs.write_metrics_jsonl(registry, args.metrics_out)
-        else:
-            obs.write_metrics(registry, args.metrics_out)
-        print(f"metrics: {args.metrics_out}")
 
     ok = failures == 0 and empty_answers == 0
     if args.retrieval:

@@ -13,7 +13,7 @@ Classic three-state design (closed → open → half-open):
 
 The clock is injectable so tests drive transitions deterministically,
 and every transition is reported through ``on_transition`` so the
-serving layer can count them (`serve.breaker.*` perf counters).
+serving layer can count them (`serve.breaker.*` counters).
 
 Thread safety: one reentrant mutex serialises the whole
 allow/record/transition protocol — ``allow`` in half-open is a

@@ -12,7 +12,9 @@ it replaces the live model:
    must match the one pinned by the first successful load, so a
    checkpoint from a differently-configured run cannot silently swap
    into a serving process expecting another architecture;
-3. **canary probe** — after the swap, the candidate must answer a real
+3. **finite parameters** — every float parameter must be finite, checked
+   before the model or its routing index is built from them;
+4. **canary probe** — after the swap, the candidate must answer a real
    ``recommend`` call with a valid, in-range, finite top-N; a failing
    canary rolls the previous model back.
 
@@ -216,7 +218,7 @@ class CheckpointModelProvider:
                 return UNCHANGED
         path = os.path.join(self.directory, entry["file"])
 
-        # Gate 1+2: checksum and fingerprint validation, then build.
+        # Gates 1-3: checksum, fingerprint and finiteness, then build.
         # Deliberately outside the lock: payload reads and model
         # construction are slow, and scoring threads must keep getting
         # the live model while a candidate is prepared.
@@ -236,7 +238,7 @@ class CheckpointModelProvider:
         # stores can never score a new model through old routing.
         index = self._index_for(candidate, step)
 
-        # Gate 3: swap in, then canary-probe the live slot; roll back on
+        # Gate 4: swap in, then canary-probe the live slot; roll back on
         # any failure so a model that loads but cannot answer never
         # serves traffic.  The swap/canary/rollback triple runs under
         # the lock as one atomic generation change.
@@ -330,8 +332,15 @@ class CheckpointModelProvider:
             state = decode_state(data)
         except Exception as err:
             raise _CandidateRejected(f"undecodable payload ({err})") from err
-        if not isinstance(state, dict) or "model" not in state:
+        if not isinstance(state, dict) or not isinstance(state.get("model"), dict):
             raise _CandidateRejected("snapshot carries no model state")
+        # Finiteness before anything derived (model, routing index) is
+        # built from the parameters: a NaN table would otherwise reach
+        # index construction and only fail at the canary.
+        for name, value in state["model"].items():
+            value = np.asarray(value)
+            if value.dtype.kind == "f" and not np.isfinite(value).all():
+                raise _CandidateRejected(f"non-finite parameter {name}")
         fingerprint = state.get("fingerprint")
         if self._fingerprint is not None and fingerprint != self._fingerprint:
             raise _CandidateRejected(

@@ -34,7 +34,6 @@ import numpy as np
 from .. import obs, testing
 from ..concurrency import new_lock, shared_state
 from ..eval.metrics import rank_items
-from ..perf import CounterRegistry, StopwatchRegistry
 from .breaker import CLOSED, CircuitBreaker
 from .cache import TTLCache
 from .provider import ModelUnavailable, StaticModelProvider
@@ -143,7 +142,7 @@ class RecommendationService:
     Thread safety: the service's own mutable state — the request
     counter driving piggybacked reloads and the lazily-built popularity
     fallback — sits under one mutex; everything else it touches
-    (breaker, stale cache, provider, perf registries) synchronises
+    (breaker, stale cache, provider, metrics registries) synchronises
     itself.  Scoring, retries, and backoff sleeps all run outside the
     lock, so concurrent requests only serialise for a few counter
     updates.
@@ -180,16 +179,18 @@ class RecommendationService:
             falls back to exact scoring within the same rung, counted
             under ``serve.retrieval.*``.  The degradation ladder and
             breaker semantics are unchanged.
-        counters / timers: perf registries to share with a wider app
-            (a :class:`repro.obs.MetricsRegistry` drops in for
-            ``counters`` unchanged).
+        counters: the :class:`repro.obs.MetricsRegistry` that takes
+            the service's ``serve.*`` counters (and those of its
+            batcher and retrieval tier); a fresh one per service by
+            default, so ``health()["counters"]`` stays per-worker.
         tracer: optional :class:`repro.obs.Tracer`; falls back to the
             process-global tracer.  Each answered request records a
             ``serve:request`` span tagged with the degradation rung,
             retry count, breaker state, and deadline outcome, with one
-            ``serve:attempt`` child per live-scoring try; request
-            latencies also feed the ``serve.request_seconds`` histogram
-            of :func:`repro.obs.get_metrics`.
+            ``serve:attempt`` child per live-scoring try.  Request and
+            scoring latencies feed the ``serve.request_seconds`` and
+            ``serve.score_seconds`` histograms of
+            :func:`repro.obs.get_metrics`.
         clock / sleep / jitter_seed: injectable time sources for tests.
     """
 
@@ -207,8 +208,7 @@ class RecommendationService:
         reload_every: int = 0,
         batcher: Optional[Any] = None,
         retrieval: Optional[Any] = None,
-        counters: Optional[CounterRegistry] = None,
-        timers: Optional[StopwatchRegistry] = None,
+        counters: Optional[obs.MetricsRegistry] = None,
         tracer: Optional[obs.Tracer] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
@@ -224,8 +224,9 @@ class RecommendationService:
         self.default_top_n = default_top_n
         self.default_deadline = default_deadline
         self.retry = retry or RetryPolicy()
-        self.counters = counters if counters is not None else CounterRegistry()
-        self.timers = timers if timers is not None else StopwatchRegistry()
+        self.counters = (
+            counters if counters is not None else obs.MetricsRegistry()
+        )
         self.tracer = obs.resolve_tracer(tracer)
         self.breaker = breaker or CircuitBreaker(clock=clock)
         # Route breaker transitions into counters even for a caller-built
@@ -342,7 +343,6 @@ class RecommendationService:
             if level != LEVEL_LIVE:
                 self.counters.add("serve.degraded")
             latency = self._clock() - start
-            self.timers.record("serve.request", latency)
             breaker_state = self.breaker.state
             deadline_hit = request_deadline.expired()
             span.set_attributes(
@@ -379,9 +379,8 @@ class RecommendationService:
             attempt += 1
             try:
                 self.counters.add("serve.score.attempts")
-                with self.timers.timed("serve.score"), self.tracer.span(
-                    "serve:attempt", attempt=attempt
-                ):
+                with (obs.get_metrics().timed("serve.score_seconds"),
+                      self.tracer.span("serve:attempt", attempt=attempt)):
                     testing.check(testing.SERVE_SCORE)
                     testing.delay(testing.SERVE_SCORE)
                     model = self.provider.model()

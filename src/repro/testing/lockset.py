@@ -22,7 +22,7 @@ Armed (``arm()`` / the ``sanitize()`` context manager / the
 
 Disarmed, nothing is patched and nothing is tracked: annotations are
 inert metadata and ``new_lock`` returns plain ``threading`` primitives
-(the obs/perf layers carry a <3% disabled-overhead budget).
+(the obs layer carries a <3% disabled-overhead budget).
 """
 
 from __future__ import annotations

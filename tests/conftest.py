@@ -43,6 +43,20 @@ def _lockset_sanitizer():
 
 
 @pytest.fixture
+def isolated_metrics():
+    """A fresh process-global :class:`repro.obs.MetricsRegistry` for one
+    test, so exact counts are not mixed with other tests' records."""
+    from repro import obs
+
+    registry = obs.MetricsRegistry()
+    previous = obs.set_metrics(registry)
+    try:
+        yield registry
+    finally:
+        obs.set_metrics(previous)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(0)
 

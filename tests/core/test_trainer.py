@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import IMCAT, IMCATConfig, IMCATTrainConfig, IMCATTrainer
 from repro.eval import Evaluator
 from repro.models import BPRMF
@@ -91,22 +92,27 @@ class TestOutcome:
 
 
 class TestPerfInstrumentation:
-    def test_result_carries_phase_breakdown(self, small_dataset, small_split):
+    """Phase timings and counts land in the process-global registry."""
+
+    def test_run_records_phase_breakdown(
+        self, small_dataset, small_split, isolated_metrics
+    ):
         _, trainer = make_trainer(small_dataset, small_split, epochs=4)
-        result = trainer.fit()
-        assert result.perf is not None
-        for phase in ("sampling", "forward", "backward", "eval"):
-            assert result.perf.timers[phase]["count"] > 0
-        # Evaluator phases nest under the trainer's eval scope.
-        assert result.perf.timers["eval/score"]["count"] > 0
-        assert result.perf.counters["steps"] > 0
-        assert result.perf.counters["triplets"] >= result.perf.counters["steps"]
-        assert result.perf.counters["evals"] == 2  # eval_every=2, epochs=4
+        trainer.fit()
+        hists = isolated_metrics.histograms()
+        for phase in ("sampling", "forward", "backward", "eval",
+                      "cluster_refresh"):
+            assert hists[f"trainer.{phase}_seconds"].count > 0
+        assert hists["eval.score_seconds"].count > 0
+        steps = isolated_metrics.get("trainer.steps")
+        assert steps == hists["trainer.forward_seconds"].count
+        assert steps == hists["trainer.backward_seconds"].count
+        assert isolated_metrics.get("trainer.triplets") >= steps
+        assert isolated_metrics.get("trainer.evals") == 2  # eval_every=2, epochs=4
+        assert hists["trainer.eval_seconds"].count == 2
 
     def test_external_registry_receives_timings(self, small_dataset, small_split):
-        from repro.perf import StopwatchRegistry
-
-        perf = StopwatchRegistry()
+        registry = obs.MetricsRegistry()
         rng = np.random.default_rng(0)
         backbone = BPRMF(small_dataset.num_users, small_dataset.num_items, 16, rng)
         model = IMCAT(
@@ -117,15 +123,21 @@ class TestPerfInstrumentation:
         trainer = IMCATTrainer(
             model, small_split,
             IMCATTrainConfig(epochs=2, batch_size=128, eval_every=2),
-            perf=perf,
         )
-        trainer.fit()
-        assert perf.count("forward") > 0
-        assert perf.count("cluster-refresh") > 0
+        previous = obs.set_metrics(registry)
+        try:
+            trainer.fit()
+        finally:
+            obs.set_metrics(previous)
+        hists = registry.histograms()
+        assert hists["trainer.forward_seconds"].count > 0
+        assert hists["trainer.cluster_refresh_seconds"].count > 0
 
-    def test_perf_report_formats(self, small_dataset, small_split):
+    def test_perf_report_formats(
+        self, small_dataset, small_split, isolated_metrics
+    ):
         _, trainer = make_trainer(small_dataset, small_split, epochs=2)
-        result = trainer.fit()
-        text = result.perf.format(title="imcat run")
-        assert text.startswith("imcat run")
-        assert "forward" in text
+        trainer.fit()
+        text = obs.format_metrics_table(isolated_metrics.snapshot())
+        assert "trainer.forward_seconds" in text
+        assert "trainer.steps" in text

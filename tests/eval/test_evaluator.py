@@ -218,15 +218,15 @@ class TestFastMatchesReference:
         Evaluator(train, test, top_n=(5,)).evaluate(model)
         np.testing.assert_array_equal(model._scores, before)
 
-    def test_perf_registry_records_phases(self):
-        from repro.perf import StopwatchRegistry
-
+    def test_perf_registry_records_phases(self, isolated_metrics):
         train, test = make_pair()
-        perf = StopwatchRegistry()
-        Evaluator(train, test).evaluate(PerfectModel(test, 8), perf=perf)
-        assert perf.count("score") > 0
-        assert perf.count("rank") > 0
-        assert perf.count("metrics") > 0
+        evaluator = Evaluator(train, test)
+        evaluator.evaluate(PerfectModel(test, 8), chunk_size=1)
+        n_chunks = len(evaluator.eval_users)
+        assert n_chunks > 1
+        hists = isolated_metrics.histograms()
+        for phase in ("score", "rank", "metrics"):
+            assert hists[f"eval.{phase}_seconds"].count == n_chunks
 
 
 class TestAllMetrics:

@@ -167,15 +167,18 @@ class TestGoldenTrace:
 
 @pytest.fixture(scope="module")
 def bpr_golden_run(small_dataset, small_split):
-    """One traced 2-epoch ``fit_bpr`` run of BPRMF on the global tracer."""
+    """One traced 2-epoch ``fit_bpr`` run of BPRMF on the global tracer,
+    recording into a fresh global metrics registry."""
     model = BPRMF(
         small_dataset.num_users, small_dataset.num_items, 16,
         np.random.default_rng(0),
     )
     tracer = Tracer()
+    registry = obs.MetricsRegistry()
     previous = obs.set_tracer(tracer)
+    previous_metrics = obs.set_metrics(registry)
     try:
-        result = fit_bpr(
+        fit_bpr(
             model, small_split,
             TrainConfig(
                 epochs=2, batch_size=BPR_BATCH_SIZE, eval_every=1,
@@ -184,7 +187,8 @@ def bpr_golden_run(small_dataset, small_split):
         )
     finally:
         obs.set_tracer(previous)
-    return tracer, result
+        obs.set_metrics(previous_metrics)
+    return tracer, registry
 
 
 class TestBPRGoldenTrace:
@@ -220,16 +224,15 @@ class TestBPRGoldenTrace:
         assert [e["attributes"]["index"] for e in epochs] == [0, 1]
         assert all("loss" in e["attributes"] for e in epochs)
 
-    def test_result_carries_phase_breakdown(self, bpr_golden_run, small_split):
-        _, result = bpr_golden_run
+    def test_run_records_phase_breakdown(self, bpr_golden_run, small_split):
+        _, registry = bpr_golden_run
         n_batches = _count_batches(small_split, BPR_BATCH_SIZE)
-        assert result.perf is not None
-        timers = result.perf.timers
+        hists = registry.histograms()
         # Every step plus the exhausted final draw, per epoch.
-        assert timers["sampling"]["count"] == 2 * (n_batches + 1)
-        assert timers["forward"]["count"] == 2 * n_batches
-        assert timers["backward"]["count"] == 2 * n_batches
-        assert timers["eval"]["count"] == 2
-        assert timers["eval/score"]["count"] > 0
-        assert result.perf.counters["steps"] == 2 * n_batches
-        assert result.perf.counters["evals"] == 2
+        assert hists["trainer.sampling_seconds"].count == 2 * (n_batches + 1)
+        assert hists["trainer.forward_seconds"].count == 2 * n_batches
+        assert hists["trainer.backward_seconds"].count == 2 * n_batches
+        assert hists["trainer.eval_seconds"].count == 2
+        assert hists["eval.score_seconds"].count > 0
+        assert registry.get("trainer.steps") == 2 * n_batches
+        assert registry.get("trainer.evals") == 2

@@ -1,13 +1,34 @@
-"""MetricsRegistry: instruments, CounterRegistry compatibility, threads."""
+"""MetricsRegistry: instruments, counter shorthands, timing, threads."""
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.obs import MetricsRegistry, exponential_buckets
-from repro.perf import CounterRegistry, StopwatchRegistry
+
+THREADS = 8
+INCREMENTS = 2_000
+
+
+def _run_threads(worker, count=THREADS):
+    """Start ``count`` workers behind a barrier and join them all."""
+    barrier = threading.Barrier(count)
+
+    def wrapped(index):
+        barrier.wait()
+        worker(index)
+
+    threads = [
+        threading.Thread(target=wrapped, args=(i,)) for i in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
 
 
 class TestExponentialBuckets:
@@ -81,8 +102,28 @@ class TestHistogram:
             h.quantile(1.5)
 
 
-class TestCounterRegistryCompatibility:
-    """MetricsRegistry must be usable anywhere CounterRegistry is."""
+class TestTimed:
+    def test_observes_elapsed_seconds(self):
+        registry = MetricsRegistry()
+        with registry.timed("phase_seconds"):
+            time.sleep(0.01)
+        with registry.timed("phase_seconds"):
+            pass
+        hist = registry.histograms()["phase_seconds"]
+        assert hist.count == 2
+        assert 0.01 <= hist.sum < 1.0
+
+    def test_records_when_the_block_raises(self):
+        registry = MetricsRegistry()
+        with pytest.raises(RuntimeError):
+            with registry.timed("failing_seconds"):
+                raise RuntimeError("boom")
+        assert registry.histograms()["failing_seconds"].count == 1
+
+
+class TestCounterShorthands:
+    """``add`` / ``get`` / ``counts`` / ``rate`` / ``merge`` over the
+    registry's counters."""
 
     def test_add_get_counts(self):
         registry = MetricsRegistry()
@@ -105,18 +146,18 @@ class TestCounterRegistryCompatibility:
         assert registry.rate("events", 2.0) == pytest.approx(5.0)
         assert registry.rate("events", 0.0) == 0.0
 
-    def test_merge_from_perf_counters(self):
-        perf = CounterRegistry()
-        perf.add("shared", 2)
+    def test_merge_adds_counts(self):
+        worker = MetricsRegistry()
+        worker.add("shared", 2)
+        worker.add("worker.only")
+        worker.histogram("lat").observe(0.1)
         registry = MetricsRegistry()
         registry.add("shared", 1)
-        registry.merge(perf)
-        assert registry.get("shared") == 3
-
-    def test_same_public_surface_as_counter_registry(self):
-        for method in ("add", "get", "counts", "rate", "as_dict",
-                       "merge", "reset"):
-            assert callable(getattr(MetricsRegistry(), method)), method
+        registry.merge(worker)
+        assert registry.counts() == {"shared": 3, "worker.only": 1}
+        # Only counters merge; the source keeps its own values.
+        assert registry.histograms() == {}
+        assert worker.get("shared") == 2
 
     def test_reset_clears_everything(self):
         registry = MetricsRegistry()
@@ -144,21 +185,62 @@ class TestSnapshotAndAbsorb:
         assert snap["gauges"]["loss"] == 0.25
         assert snap["histograms"]["lat"]["count"] == 1
 
-    def test_absorb_perf_registries(self):
-        counters = CounterRegistry()
-        counters.add("steps", 7)
-        timers = StopwatchRegistry()
-        timers.record("epoch", 0.2)
-        timers.record("epoch", 0.4)
-        registry = MetricsRegistry()
-        registry.absorb_perf(counters=counters, timers=timers)
-        assert registry.get("steps") == 7
-        hist = registry.histograms()["perf.epoch"]
-        assert hist.count == 2
-        assert hist.sum == pytest.approx(0.6)
-
 
 class TestThreadSafety:
+    """Hammer one shared registry from many threads: nothing is lost."""
+
+    def test_no_lost_increments_single_name(self):
+        registry = MetricsRegistry()
+
+        def worker(_index):
+            for _ in range(INCREMENTS):
+                registry.add("hits")
+
+        _run_threads(worker)
+        assert registry.get("hits") == THREADS * INCREMENTS
+
+    def test_no_lost_increments_mixed_names(self):
+        registry = MetricsRegistry()
+
+        def worker(index):
+            for step in range(INCREMENTS):
+                registry.add("shared")
+                registry.add(f"own.{index}", 2)
+                if step % 50 == 0:
+                    # Concurrent reads must not disturb the counts.
+                    registry.counts()
+
+        _run_threads(worker)
+        assert registry.get("shared") == THREADS * INCREMENTS
+        for index in range(THREADS):
+            assert registry.get(f"own.{index}") == 2 * INCREMENTS
+
+    def test_concurrent_merge_into_shared_target(self):
+        target = MetricsRegistry()
+
+        def worker(_index):
+            local = MetricsRegistry()
+            for _ in range(INCREMENTS):
+                local.add("events")
+            target.merge(local)
+
+        _run_threads(worker)
+        assert target.get("events") == THREADS * INCREMENTS
+
+    def test_no_lost_timed_records(self):
+        registry = MetricsRegistry()
+        rounds = 500
+
+        def worker(_index):
+            for _ in range(rounds):
+                with registry.timed("phase_seconds"):
+                    pass
+
+        _run_threads(worker)
+        hist = registry.histograms()["phase_seconds"]
+        assert hist.count == THREADS * rounds
+        assert hist.bucket_counts()[-1] == THREADS * rounds
+
     def test_concurrent_mixed_instruments(self):
         registry = MetricsRegistry()
         threads_n, rounds = 8, 1_000

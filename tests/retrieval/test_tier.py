@@ -11,11 +11,12 @@ import pytest
 from repro import testing
 from repro.ckpt import CheckpointManager
 from repro.models import BPRMF
-from repro.perf import CounterRegistry
+from repro.obs import MetricsRegistry
 from repro.retrieval import RetrievalTier, build_index
 from repro.serve import (
     LEVEL_LIVE,
     LEVELS,
+    REJECTED,
     RELOADED,
     ROLLED_BACK,
     CheckpointModelProvider,
@@ -26,6 +27,7 @@ from repro.serve import (
 )
 
 from ..serve.test_breaker import FakeClock
+from ..serve.test_provider import restore_out_of_range_from
 
 NUM_USERS, NUM_ITEMS, DIM = 8, 30, 4
 FINGERPRINT = "fp-serving"
@@ -47,7 +49,7 @@ def make_tier(**kwargs) -> RetrievalTier:
         num_partitions=4,
         popularity=np.arange(NUM_ITEMS, dtype=np.float64),
         popular_head=5,
-        counters=CounterRegistry(),
+        counters=MetricsRegistry(),
     )
     defaults.update(kwargs)
     return RetrievalTier(**defaults)
@@ -118,7 +120,7 @@ class TestServiceIntegration:
         )
         return service, clock
 
-    def test_live_answers_route_through_index(self):
+    def test_live_answers_route_through_index(self, isolated_metrics):
         # No private registry: the service injects its own, so routing
         # outcomes surface in health().
         tier = make_tier(counters=None)
@@ -129,9 +131,20 @@ class TestServiceIntegration:
         assert response.level == LEVEL_LIVE
         assert 0 not in response.items
         # The tier shares the service counter registry, so routing
-        # outcomes surface in health().
+        # outcomes surface in health() -- and only there.
         counters = service.health()["counters"]
-        assert counters.get("serve.retrieval.served", 0) >= 1
+        assert counters.get("serve.retrieval.served", 0) == 1
+        assert isolated_metrics.get("serve.retrieval.served") == 0
+
+    def test_tier_without_registry_counts_globally_once(
+        self, isolated_metrics
+    ):
+        tier = make_tier(counters=None)
+        provider = StaticModelProvider(make_model())
+        for user in range(3):
+            tier.recommend(provider, user, top_n=4)
+        assert isolated_metrics.get("serve.retrieval.served") == 3
+        assert isolated_metrics.get("serve.retrieval.builds") == 1
 
     def test_chaos_with_tier_never_raises(self):
         tier = make_tier()
@@ -159,12 +172,13 @@ class TestAtomicSwap:
             "model": model.state_dict(),
         }
 
-    def make_provider(self, directory):
+    def make_provider(self, directory, **kwargs):
         return CheckpointModelProvider(
             str(directory),
             builder=make_model,
             retrieval=True,
             retrieval_params=dict(num_partitions=4, popular_head=5),
+            **kwargs,
         )
 
     def test_poll_swaps_model_and_index_together(self, tmp_path):
@@ -203,9 +217,37 @@ class TestAtomicSwap:
     def test_rollback_restores_previous_index(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
         manager.save(self.snapshot(make_model(1), 1), step=1)
+        # Step 2 is finite and indexes fine, but answers out of range,
+        # so only the post-swap canary rejects it.
+        provider = self.make_provider(
+            tmp_path, restore=restore_out_of_range_from(step=2)
+        )
+        provider.poll()
+        good_index = provider.index()
+        manager.save(self.snapshot(make_model(2), 2), step=2)
+        with pytest.warns(RuntimeWarning, match="canary probe failed"):
+            assert provider.poll() == ROLLED_BACK
+        assert provider.index() is good_index
+        assert provider.version() == "ckpt-step-1"
+
+    def test_nan_candidate_rejected_before_index_build(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.retrieval
+
+        manager = CheckpointManager(str(tmp_path))
+        manager.save(self.snapshot(make_model(1), 1), step=1)
         provider = self.make_provider(tmp_path)
         provider.poll()
         good_index = provider.index()
+        builds = []
+        real_build = repro.retrieval.build_index
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(repro.retrieval, "build_index", counting_build)
         broken = {
             key: np.full_like(value, np.nan)
             for key, value in make_model(2).state_dict().items()
@@ -213,8 +255,9 @@ class TestAtomicSwap:
         manager.save(
             {"fingerprint": FINGERPRINT, "step": 2, "model": broken}, step=2
         )
-        with pytest.warns(RuntimeWarning, match="canary probe failed"):
-            assert provider.poll() == ROLLED_BACK
+        with pytest.warns(RuntimeWarning, match="non-finite parameter"):
+            assert provider.poll() == REJECTED
+        assert builds == []
         assert provider.index() is good_index
         assert provider.version() == "ckpt-step-1"
 

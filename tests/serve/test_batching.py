@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.perf import CounterRegistry
+from repro.obs import MetricsRegistry
 from repro.serve import MicroBatcher
 
 from .test_service import FakeModel
@@ -138,7 +138,7 @@ class TestFlushBounds:
         """Under a generous wait window, simultaneous callers must end
         up sharing scoring calls (fewer flushes than requests)."""
         model = ScriptedModel()
-        counters = CounterRegistry()
+        counters = MetricsRegistry()
         batcher = MicroBatcher(
             lambda: model, max_batch=8, max_wait=0.05, counters=counters
         )

@@ -248,13 +248,6 @@ class TestChaosObservability:
     tagged with the degradation rung and breaker state, and metrics
     counting every request and transition."""
 
-    @pytest.fixture()
-    def isolated_metrics(self):
-        registry = obs.MetricsRegistry()
-        previous = obs.set_metrics(registry)
-        yield registry
-        obs.set_metrics(previous)
-
     def test_outage_spans_record_rungs_and_breaker_walk(
         self, isolated_metrics
     ):

@@ -16,6 +16,7 @@ from repro.serve import (
     CheckpointModelProvider,
     ModelUnavailable,
 )
+from repro.serve.provider import default_restore
 
 NUM_USERS, NUM_ITEMS, DIM = 4, 6, 4
 FINGERPRINT = "fp-serving"
@@ -35,8 +36,32 @@ def snapshot(model: BPRMF, step: int, fingerprint: str = FINGERPRINT) -> dict:
     return {"fingerprint": fingerprint, "step": step, "model": model.state_dict()}
 
 
-def make_provider(directory: str) -> CheckpointModelProvider:
-    return CheckpointModelProvider(str(directory), builder=make_model)
+def make_provider(directory: str, **kwargs) -> CheckpointModelProvider:
+    return CheckpointModelProvider(str(directory), builder=make_model, **kwargs)
+
+
+class OutOfRange:
+    """A finite model whose answers index past the catalogue, so only
+    the post-swap canary can catch it."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def recommend(self, user, top_n=20, exclude=None):
+        return np.full(top_n, self._model.num_items)
+
+
+def restore_out_of_range_from(step: int):
+    """A restore hook that breaks every snapshot from ``step`` on."""
+
+    def restore(model, state):
+        model = default_restore(model, state)
+        return OutOfRange(model) if state["step"] >= step else model
+
+    return restore
 
 
 class TestLoading:
@@ -148,12 +173,18 @@ class TestValidationGate:
         assert provider.poll() == RELOADED
 
 
-class TestCanary:
-    def test_nan_candidate_rolls_back(self, tmp_path):
+class TestFiniteness:
+    def test_nan_candidate_rejected_before_build(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
         good = make_model(1)
         manager.save(snapshot(good, 1), step=1)
-        provider = make_provider(tmp_path)
+        builds = []
+
+        def builder():
+            builds.append(1)
+            return make_model()
+
+        provider = CheckpointModelProvider(str(tmp_path), builder=builder)
         provider.poll()
         broken = {
             key: np.full_like(value, np.nan)
@@ -162,6 +193,40 @@ class TestCanary:
         manager.save(
             {"fingerprint": FINGERPRINT, "step": 2, "model": broken}, step=2
         )
+        with pytest.warns(RuntimeWarning, match="non-finite parameter"):
+            assert provider.poll() == REJECTED
+        assert len(builds) == 1  # only the good snapshot was built
+        assert provider.version() == "ckpt-step-1"
+        np.testing.assert_allclose(
+            provider.model().all_scores(np.array([0])),
+            good.all_scores(np.array([0])),
+        )
+
+    def test_single_inf_entry_names_the_parameter(self, tmp_path):
+        manager = CheckpointManager(str(tmp_path))
+        state = make_model(1).state_dict()
+        name = next(iter(state))
+        state[name] = state[name].copy()
+        state[name].flat[0] = np.inf
+        manager.save(
+            {"fingerprint": FINGERPRINT, "step": 1, "model": state}, step=1
+        )
+        provider = make_provider(tmp_path)
+        with pytest.warns(RuntimeWarning, match=f"non-finite parameter {name}"):
+            assert provider.poll() == REJECTED
+        assert not provider.ready()
+
+
+class TestCanary:
+    def test_out_of_range_candidate_rolls_back(self, tmp_path):
+        manager = CheckpointManager(str(tmp_path))
+        good = make_model(1)
+        manager.save(snapshot(good, 1), step=1)
+        provider = make_provider(
+            tmp_path, restore=restore_out_of_range_from(step=2)
+        )
+        provider.poll()
+        manager.save(snapshot(make_model(2), 2), step=2)
         with pytest.warns(RuntimeWarning, match="canary probe failed"):
             assert provider.poll() == ROLLED_BACK
         assert provider.version() == "ckpt-step-1"

@@ -288,6 +288,19 @@ class TestValidationAndProbes:
         assert service.counters.get("serve.unready") == 1
 
 
+class TestInstrumentation:
+    def test_one_request_is_recorded_once(self, isolated_metrics):
+        service = make_service(FakeModel(fail_times=1))
+        service.recommend(0)
+        hists = isolated_metrics.histograms()
+        assert hists["serve.request_seconds"].count == 1
+        # One observation per scoring attempt (a failure and a retry).
+        assert hists["serve.score_seconds"].count == 2
+        # Counters stay on the service's own registry.
+        assert service.counters.get("serve.requests") == 1
+        assert isolated_metrics.counts() == {}
+
+
 class TestReloadHook:
     def test_reload_every_polls_provider(self):
         class CountingProvider(StaticModelProvider):

@@ -73,6 +73,63 @@ class TestCommands:
         assert "R@20" in out
 
 
+def _exported(path) -> dict:
+    """``{sample name: value}`` of a Prometheus export (labelled
+    histogram buckets dropped)."""
+    from repro.obs import parse_prometheus
+
+    with open(path, encoding="utf-8") as handle:
+        families = parse_prometheus(handle.read())
+    return {
+        key[:-2]: value
+        for family in families.values()
+        for key, value in family["samples"].items()
+        if key.endswith("{}")
+    }
+
+
+class TestMetricsExport:
+    """``--metrics-out`` carries the phase breakdown and serve counters."""
+
+    def test_run_exports_phase_breakdown(self, tmp_path, isolated_metrics):
+        path = tmp_path / "metrics.prom"
+        assert main([
+            "run", "--dataset", "hetrec-del", "--method", "L-IMCAT",
+            "--scale", "0.02", "--epochs", "1", "--embed-dim", "16",
+            "--batch-size", "256", "--metrics-out", str(path),
+        ]) == 0
+        samples = _exported(path)
+        for name in ("repro_trainer_forward_seconds_count",
+                     "repro_trainer_cluster_refresh_seconds_count",
+                     "repro_eval_score_seconds_count",
+                     "repro_trainer_steps_total"):
+            assert samples.get(name, 0) > 0, name
+        assert (samples["repro_trainer_steps_total"]
+                == samples["repro_trainer_forward_seconds_count"])
+
+    @pytest.mark.parametrize("extra", [[], ["--retrieval"]])
+    def test_serve_exports_service_counters(
+        self, tmp_path, isolated_metrics, extra
+    ):
+        from repro.serve.__main__ import main as serve_main
+
+        path = tmp_path / "serve.prom"
+        assert serve_main([
+            "--dataset", "hetrec-del", "--method", "BPRMF",
+            "--scale", "0.02", "--epochs", "1", "--embed-dim", "8",
+            "--batch-size", "256", "--requests", "20",
+            "--metrics-out", str(path), *extra,
+        ]) == 0
+        samples = _exported(path)
+        assert samples["repro_serve_requests_total"] == 20
+        assert samples["repro_serve_request_seconds_count"] == 20
+        live = samples["repro_serve_responses_live_total"]
+        assert live == 20
+        if extra:
+            # Counted once: on the service registry, merged at export.
+            assert samples["repro_serve_retrieval_served_total"] == live
+
+
 class TestValidation:
     def test_checkpoint_every_zero_fails_before_training(self, tmp_path):
         import os

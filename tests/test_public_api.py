@@ -10,7 +10,7 @@ import pytest
 import repro
 
 SUBPACKAGES = ["repro.nn", "repro.data", "repro.models", "repro.core",
-               "repro.eval", "repro.bench", "repro.perf", "repro.ckpt",
+               "repro.eval", "repro.bench", "repro.ckpt",
                "repro.testing", "repro.obs"]
 
 
@@ -73,7 +73,6 @@ class TestModuleDocstrings:
             "repro.eval.groups", "repro.eval.significance",
             "repro.bench.harness", "repro.bench.registry",
             "repro.bench.tables", "repro.bench.hotpaths", "repro.io",
-            "repro.perf.timers", "repro.perf.counters", "repro.perf.report",
             "repro.obs.spans", "repro.obs.metrics", "repro.obs.export",
             "repro.obs.profiler", "repro.obs.report",
         ],

@@ -201,9 +201,9 @@ class TestAnnotatedProductionClasses:
     """The classes fixed in this pass must run hazard-free when armed."""
 
     def test_counter_registry_clean_under_sanitizer(self, sanitizer):
-        from repro.perf import CounterRegistry
+        from repro.obs.metrics import MetricsRegistry
 
-        registry = CounterRegistry()
+        registry = MetricsRegistry()
         hazards = _hammer(lambda: registry.add("hits"))
         assert hazards == []
         assert registry.get("hits") == THREADS * ITERS
