@@ -7,7 +7,8 @@
 #               chaos must hold its SLOs (zero errors, p99, rung budget)
 #   proc-smoke  process-isolation gate: SIGKILL/hang chaos against a
 #               4-worker *subprocess* pool with supervision must end
-#               with zero errors and every victim respawned
+#               with zero errors and every victim respawned; a traced
+#               2-worker run must export a trace the report CLI renders
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -27,6 +28,7 @@ concurrency-smoke:
 	$(PYTHON) -m repro.lint --concurrency src
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -q \
 		tests/testing/test_lockset.py tests/serve/test_concurrency.py \
+		tests/serve/test_representation_cache.py \
 		tests/obs/test_metrics.py tests/analysis
 
 bench-smoke:
@@ -108,6 +110,13 @@ proc-smoke:
 	timeout 120 $(PYTHON) -m repro.serve --dataset hetrec-del \
 		--method BPRMF --scale 0.02 --epochs 2 --batch-size 256 \
 		--backend process --workers 4 --rps 400 --requests 240 --chaos
+	rm -rf .proc-smoke && mkdir -p .proc-smoke
+	timeout 120 $(PYTHON) -m repro.serve --dataset hetrec-del \
+		--method BPRMF --scale 0.02 --epochs 1 --batch-size 256 \
+		--backend process --workers 2 --rps 400 --requests 80 \
+		--trace-out .proc-smoke/trace.jsonl
+	$(PYTHON) -m repro.obs report .proc-smoke/trace.jsonl --depth 2
+	rm -rf .proc-smoke
 
 # Retrieval smoke: build a cluster-routed index over a small catalogue
 # and assert the correctness spine — full-probe routing reproduces exact

@@ -112,7 +112,8 @@ class TagClustering(Module):
         centers, _ = kmeans(
             np.asarray(tag_embeddings), self.num_clusters, rng=rng
         )
-        self.centers.data[...] = centers
+        with self.centers.write() as data:
+            data[...] = centers
 
 
 def kmeans(

@@ -110,9 +110,6 @@ class IMCAT(Module):
         so an IMCAT wrapper can sit directly behind :mod:`repro.serve`."""
         return self.backbone.recommend(user, top_n=top_n, exclude=exclude)
 
-    def begin_step(self) -> None:
-        self.backbone.begin_step()
-
     def refresh_epoch(self, epoch: int) -> None:
         self.backbone.refresh_epoch(epoch)
 

@@ -4,7 +4,8 @@ IMCAT is model-agnostic (Section IV): any model exposing user/item
 representations and a pairwise scorer can be wrapped.  The contract is:
 
 - ``user_repr()`` / ``item_repr()`` — *final* representations as autograd
-  tensors (after propagation for GNN models);
+  tensors: ``propagate()`` (the embedding tables, or the propagated
+  graph for GNN models) computed once per parameter version;
 - ``pair_scores(users, items)`` — differentiable relevance scores
   ``ŷ_{uv}`` for index arrays;
 - ``bpr_loss(batch)`` — the ranking loss of Eq. (1) on a triplet batch;
@@ -13,15 +14,66 @@ representations and a pairwise scorer can be wrapped.  The contract is:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..concurrency import new_rlock, shared_state
 from ..data.dataset import TagRecDataset
 from ..data.sampling import TripletBatch
-from ..nn import Embedding, Module, Tensor, no_grad
+from ..nn import Embedding, Module, Tensor, is_grad_enabled, no_grad
 from ..nn import functional as F
 from ..nn import fusion
+from ..nn.module import next_version
+
+
+@shared_state(guard="_lock")
+class RepresentationCache:
+    """One derived value per version key (see
+    :meth:`Recommender.representations`).
+
+    Rules: the key is snapshotted *before* the value is computed, so a
+    write that lands during the computation leaves an entry no later
+    read matches; and an entry computed without grad never satisfies a
+    grad-enabled read, so a training step always builds its own graph.
+
+    Thread safety: a hit reads ``_entry`` (one attribute load) without
+    the lock; a miss computes and stores under ``_lock``, which
+    :meth:`repro.nn.Module.load_state_dict` also holds while it writes,
+    so a computation never sees half-loaded parameters.
+    """
+
+    def __init__(self) -> None:
+        self._lock = new_rlock("models.RepresentationCache")
+        self._entry: Optional[Tuple[Any, bool, Any]] = None
+
+    @property
+    def lock(self):
+        return self._lock
+
+    def get(self, key: Callable[[], Any], compute: Callable[[], Any]) -> Any:
+        """The entry for ``key()``, computing it on a miss."""
+        grad = is_grad_enabled()
+        value = self._hit(key(), grad)
+        if value is not None:
+            return value
+        with self._lock:
+            version = key()
+            value = self._hit(version, grad)
+            if value is None:
+                value = compute()
+                self._entry = (version, grad, value)
+            return value
+
+    def _hit(self, version: Any, grad: bool) -> Any:
+        entry = self._entry
+        if entry is not None and entry[0] == version and (entry[1] or not grad):
+            return entry[2]
+        return None
+
+    def __reduce__(self):
+        # Copies (pickle, deepcopy) start empty with a lock of their own.
+        return (RepresentationCache, ())
 
 
 class Recommender(Module):
@@ -48,25 +100,51 @@ class Recommender(Module):
         self.embed_dim = embed_dim
         self.user_embedding = Embedding(num_users, embed_dim, rng)
         self.item_embedding = Embedding(num_items, embed_dim, rng)
+        self._representations = RepresentationCache()
+        self._derived_version = next_version()
 
     # ------------------------------------------------------------------
     # representations
     # ------------------------------------------------------------------
+    def propagate(self) -> Tuple[Tensor, ...]:
+        """Final ``(users, items[, tags])`` representations computed
+        from the parameters.  Default: the embedding tables; GNN models
+        override it with their graph propagation."""
+        return self.user_embedding.all(), self.item_embedding.all()
+
+    def representations(self) -> Tuple[Tensor, ...]:
+        """:meth:`propagate`, run once per version of the model.
+
+        The version is every parameter's write version plus the
+        model's derived-state version (:meth:`bump_version`), so any
+        optimizer step, ``load_state_dict`` or rebuilt graph makes the
+        next read propagate afresh, and a stale result cannot be read.
+        """
+        return self._representations.get(self._version_key, self.propagate)
+
+    def _version_key(self) -> Tuple[int, ...]:
+        return (self._derived_version,
+                *(param.version for param in self.parameters()))
+
+    def bump_version(self) -> None:
+        """Declare that non-parameter state :meth:`propagate` reads (an
+        attention adjacency, intent-routed graphs) was rebuilt."""
+        self._derived_version = next_version()
+
+    def write_locks(self) -> List[Any]:
+        return [self._representations.lock]
+
     def user_repr(self) -> Tensor:
         """Final user representations ``(|U|, d)`` (autograd tensor)."""
-        return self.user_embedding.all()
+        return self.representations()[0]
 
     def item_repr(self) -> Tensor:
         """Final item representations ``(|V|, d)`` (autograd tensor)."""
-        return self.item_embedding.all()
+        return self.representations()[1]
 
     def refresh_epoch(self, epoch: int) -> None:
         """Hook called at the start of each epoch (e.g. to re-sample
         augmented graphs in SSL baselines).  Default: no-op."""
-
-    def begin_step(self) -> None:
-        """Hook called before each training step.  GNN models use it to
-        drop cached propagations so each step builds a fresh graph."""
 
     # ------------------------------------------------------------------
     # non-parameter state
@@ -118,10 +196,11 @@ class Recommender(Module):
         When the model uses the default inner-product scorer over raw
         embedding tables, the whole step (lookups, dot products, loss
         tail) runs as one fused kernel — bit-identical to the eager chain,
-        which remains the path for propagated (non-leaf) representations
-        and custom scorers.
+        which remains the path for propagated representations and custom
+        scorers.
         """
-        if type(self).pair_scores is Recommender.pair_scores:
+        if (type(self).pair_scores is Recommender.pair_scores
+                and type(self).propagate is Recommender.propagate):
             fused = fusion.dot_bpr(
                 self.user_repr(),
                 self.item_repr(),

@@ -270,8 +270,6 @@ def run_training(
                 resumed["step"], resumed["epochs_run"], resumed["epoch"]
             )
         step.start(resumed, rng, optimizer, tracer)
-        if resumed is not None:
-            model.begin_step()
 
         def snapshot(next_epoch: int) -> dict:
             """Full training state at an epoch boundary (bit-exact)."""
@@ -310,7 +308,6 @@ def run_training(
                         batch = next(batches, None)
                     if batch is None:
                         break
-                    model.begin_step()
                     with (metrics.timed("trainer.forward_seconds"),
                           tracer.span("forward")):
                         loss = step.loss(*batch)
@@ -335,7 +332,6 @@ def run_training(
                 metrics.gauge("trainer.loss").set(record["loss"])
                 if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
                     model.eval()
-                    model.begin_step()
                     with (metrics.timed("trainer.eval_seconds"),
                           tracer.span("eval") as eval_span):
                         scores = evaluator.evaluate(model, tracer=tracer)
@@ -367,7 +363,6 @@ def run_training(
 
         if best["state"] is not None:
             model.load_state_dict(best["state"])
-            model.begin_step()
         model.eval()
         result = TrainResult(
             best_metric=float(best["metric"]) if best["metric"] > -np.inf else 0.0,

@@ -2,15 +2,26 @@
 
 The paper trains every method with Adam (Section V.D: learning rate and
 weight decay both ``1e-3``).  SGD is provided for tests and ablations.
+Every update goes through :meth:`Parameter.write`, so each parameter a
+step changes gets a fresh version.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from contextlib import nullcontext
+from typing import ContextManager, Dict, Iterable, List
 
 import numpy as np
 
 from .module import Parameter
+from .tensor import Tensor
+
+
+def _writable(param: Tensor) -> ContextManager[np.ndarray]:
+    """A parameter's versioned write; a plain tensor is written as is."""
+    if isinstance(param, Parameter):
+        return param.write()
+    return nullcontext(param.data)
 
 
 def _load_buffers(
@@ -93,7 +104,8 @@ class SGD(Optimizer):
                 vel *= self.momentum
                 vel += grad
                 grad = vel
-            param.data -= self.lr * grad
+            with _writable(param) as data:
+                data -= self.lr * grad
 
     def state_dict(self) -> Dict[str, object]:
         """Momentum buffers plus the (possibly scheduled) learning rate."""
@@ -152,7 +164,8 @@ class Adam(Optimizer):
             v += (1.0 - self.beta2) * grad**2
             m_hat = m / bias1
             v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            with _writable(param) as data:
+                data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_dict(self) -> Dict[str, object]:
         """First/second moments, step count, and current learning rate.

@@ -423,6 +423,13 @@ def _chaos_plan(total: int):
     return range(quarter, 2 * quarter), range(2 * quarter, 3 * quarter)
 
 
+def _export_trace(args: argparse.Namespace) -> None:
+    """Write the run's spans to ``--trace-out`` (pooled and single runs)."""
+    if args.trace_out is not None:
+        obs.get_tracer().export_jsonl(args.trace_out)
+        print(f"trace: {args.trace_out}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.requests < 1:
@@ -458,8 +465,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
     )
     if args.workers > 0:
-        return _run_pool(args, dataset, split, cell, deadline,
+        code = _run_pool(args, dataset, split, cell, deadline,
                          retrieval_params)
+        _export_trace(args)
+        return code
     if args.checkpoint_dir is not None and args.method in MODEL_BUILDERS:
         builder = MODEL_BUILDERS[args.method]
         provider = CheckpointModelProvider(
@@ -548,9 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print("\nhealth:", {k: v for k, v in health.items() if k != "counters"})
     _report_metrics(args, [service])
 
-    if args.trace_out is not None:
-        obs.get_tracer().export_jsonl(args.trace_out)
-        print(f"trace: {args.trace_out}")
+    _export_trace(args)
 
     ok = failures == 0 and empty_answers == 0
     if args.retrieval:

@@ -267,11 +267,13 @@ class CheckpointModelProvider:
     def _index_for(self, candidate: Any, step: int) -> Optional[Any]:
         """Load (or build and persist) the candidate's routing index.
 
-        Preference order: an ``index-*.npz`` in the checkpoint directory
-        whose fingerprint matches the candidate's item table, else a
-        fresh :func:`repro.retrieval.build_index` saved back next to the
-        snapshot so the next serving process finds it.  Any failure
-        returns ``None`` — a promotion is never blocked on routing.
+        Preference order: the ``index-*.npz`` persisted for ``step`` in
+        the checkpoint directory, when its fingerprint matches the
+        candidate's item table (older steps' indices are never read),
+        else a fresh :func:`repro.retrieval.build_index` saved back next
+        to the snapshot so the next serving process finds it.  Any
+        failure returns ``None`` — a promotion is never blocked on
+        routing.
         """
         if not self.retrieval:
             return None
@@ -284,7 +286,7 @@ class CheckpointModelProvider:
         try:
             fingerprint = model_fingerprint(candidate)
             index = load_index(
-                self.directory, expected_fingerprint=fingerprint
+                self.directory, step=step, expected_fingerprint=fingerprint
             )
             if index is not None:
                 return index

@@ -22,9 +22,10 @@ class TestSoftAssignments:
 
     def test_closest_center_gets_highest_probability(self, rng):
         clustering = TagClustering(2, 4, rng=rng)
-        clustering.centers.data[...] = np.array(
-            [[0.0, 0.0, 0.0, 0.0], [10.0, 10.0, 10.0, 10.0]]
-        )
+        with clustering.centers.write() as data:
+            data[...] = np.array(
+                [[0.0, 0.0, 0.0, 0.0], [10.0, 10.0, 10.0, 10.0]]
+            )
         q = clustering.soft_assignments(Tensor(np.zeros((1, 4))))
         assert q.data[0, 0] > q.data[0, 1]
 

@@ -155,7 +155,6 @@ class TestBackboneIntegration:
         model = make_model(small_dataset, small_split, backbone="lightgcn")
         model.refresh_clusters(rng)
         ui, it, items = make_batches(small_dataset, small_split)
-        model.begin_step()
         loss = model.training_loss(ui, it, items, rng)
         loss.backward()  # must not raise (single propagation reused)
         assert model.backbone.user_embedding.weight.grad is not None
@@ -195,7 +194,8 @@ class TestClusteringModes:
         model.activate_clustering(rng)
         target_before = model._kl_target.copy()
         # Perturb embeddings without refreshing: target must not move.
-        model.tag_embedding.weight.data += 0.5
+        with model.tag_embedding.weight.write() as data:
+            data += 0.5
         model.kl_loss()
         np.testing.assert_allclose(model._kl_target, target_before)
         # After a refresh it follows the new embeddings.

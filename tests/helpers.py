@@ -7,22 +7,33 @@ from typing import Callable
 import numpy as np
 
 from repro.data import TagRecDataset
+from repro.nn import Parameter, Tensor
 
 
 def numerical_gradient(
-    func: Callable[[], float], array: np.ndarray, eps: float = 1e-6
+    func: Callable[[], float], tensor: Tensor, eps: float = 1e-6
 ) -> np.ndarray:
-    """Central-difference gradient of ``func`` w.r.t. ``array`` in place."""
+    """Central-difference gradient of ``func`` w.r.t. ``tensor`` in place
+    (a :class:`Parameter` is probed through its sanctioned write)."""
+
+    def assign(index, value) -> None:
+        if isinstance(tensor, Parameter):
+            with tensor.write() as data:
+                data[index] = value
+        else:
+            tensor.data[index] = value
+
+    array = tensor.data
     grad = np.zeros_like(array)
     iterator = np.nditer(array, flags=["multi_index"])
     while not iterator.finished:
         index = iterator.multi_index
         original = array[index]
-        array[index] = original + eps
+        assign(index, original + eps)
         plus = func()
-        array[index] = original - eps
+        assign(index, original - eps)
         minus = func()
-        array[index] = original
+        assign(index, original)
         grad[index] = (plus - minus) / (2.0 * eps)
         iterator.iternext()
     return grad
@@ -47,7 +58,7 @@ def assert_gradcheck(
         tensor.zero_grad()
     loss.backward()
     for tensor in tensors:
-        expected = numerical_gradient(lambda: loss_builder().item(), tensor.data)
+        expected = numerical_gradient(lambda: loss_builder().item(), tensor)
         actual = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         np.testing.assert_allclose(actual, expected, atol=atol, rtol=rtol)
 

@@ -31,7 +31,6 @@ class TestRecommenderContract:
         users = np.array([0, 1, 2])
         items = np.array([3, 4, 5])
         for model in models.values():
-            model.begin_step()
             assert model.pair_scores(users, items).shape == (3,)
 
     def test_all_scores_shape_and_no_grad(self, models, small_dataset):
@@ -139,8 +138,8 @@ class TestLightGCN:
             16, rng=np.random.default_rng(0),
         )
         first = model.user_repr()
-        assert model.user_repr() is first  # cached within a step
-        model.begin_step()
+        assert model.user_repr() is first  # cached within a version
+        model.load_state_dict(model.state_dict())  # a new version
         assert model.user_repr() is not first
 
     def test_isolated_node_keeps_self_embedding(self):

@@ -52,7 +52,6 @@ class TestContract:
     )
     def test_pair_scores_differentiable(self, name, small_dataset, small_split):
         model = build(name, small_dataset, small_split)
-        model.begin_step()
         users = np.array([0, 1])
         items = np.array([2, 3])
         loss = model.pair_scores(users, items).sum()
@@ -63,7 +62,6 @@ class TestContract:
     @pytest.mark.parametrize("name", ["cke", "kgat", "kgin", "sgl", "kgcl"])
     def test_extra_loss_scalar(self, name, small_dataset, small_split, rng):
         model = build(name, small_dataset, small_split)
-        model.begin_step()
         extra = model.extra_loss(rng)
         assert extra is not None
         assert extra.size == 1
@@ -245,7 +243,8 @@ class TestKGAT:
         model = build("kgat", small_dataset, small_split)
         before = model._adjacency.data.copy()
         # Move embeddings, refresh: attention weights must change.
-        model.user_embedding.weight.data += 1.0
+        with model.user_embedding.weight.write() as data:
+            data += 1.0
         model.refresh_epoch(1)
         assert not np.allclose(model._adjacency.data, before)
 
@@ -284,7 +283,7 @@ class TestRippleNetHop2:
         baseline = model.pair_scores(users, items).data.copy()
         # Zeroing the hop-2 item embeddings should move the scores for
         # users whose summaries used them.
-        model.item_embedding.weight.data[model._ripples2[users].ravel()] = 0.0
-        model.begin_step()
+        with model.item_embedding.weight.write() as data:
+            data[model._ripples2[users].ravel()] = 0.0
         perturbed = model.pair_scores(users, items).data
         assert not np.allclose(baseline, perturbed)

@@ -160,7 +160,8 @@ class TestTrainerIntegration:
         if poison:
             # Inject Inf into the backbone user embedding: the first
             # forward op touching it must be named by the sanitizer.
-            next(iter(backbone.parameters())).data[:] = np.inf
+            with next(iter(backbone.parameters())).write() as data:
+                data[:] = np.inf
         trainer = IMCATTrainer(
             model,
             small_split,

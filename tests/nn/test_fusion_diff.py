@@ -63,7 +63,6 @@ def _full_step(model, batch, rng):
     """One loss/backward/Adam step; returns (loss, grads, params)."""
     model.train()
     model.refresh_epoch(0)
-    model.begin_step()
     loss = model.bpr_loss(batch)
     extra = model.extra_loss(rng)
     if extra is not None:
@@ -179,7 +178,6 @@ class TestImcatDifferential:
             if clustering:
                 model.activate_clustering(np.random.default_rng(11))
             model.refresh_epoch(0)
-            model.begin_step()
             with _execution(fused):
                 loss = model.training_loss(ui, it, items, np.random.default_rng(13))
                 model.zero_grad()
@@ -261,7 +259,6 @@ class TestFusionBookkeeping:
 
         def kernel_calls(execution) -> int:
             fusion.reset()
-            model.begin_step()
             with execution:
                 model.training_loss(
                     ui, it, np.arange(32), np.random.default_rng(13)

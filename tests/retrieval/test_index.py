@@ -25,7 +25,8 @@ class TestFingerprint:
 
     def test_changes_with_item_table(self, model):
         before = model_fingerprint(model)
-        model.item_embedding.weight.data[0, 0] += 1.0
+        with model.item_embedding.weight.write() as data:
+            data[0, 0] += 1.0
         assert model_fingerprint(model) != before
 
 

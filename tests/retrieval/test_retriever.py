@@ -113,17 +113,20 @@ class TestEdgeCases:
 
 class TestStaleness:
     def test_retriever_rejects_stale_index(self, model, index):
-        model.item_embedding.weight.data += 0.5
+        with model.item_embedding.weight.write() as data:
+            data += 0.5
         with pytest.raises(IndexMismatch):
             Retriever(model, index)
 
     def test_scorer_rejects_stale_index(self, model, index):
-        model.item_embedding.weight.data += 0.5
+        with model.item_embedding.weight.write() as data:
+            data += 0.5
         with pytest.raises(IndexMismatch):
             ApproximateScorer(model, index)
 
     def test_validate_false_skips_the_check(self, model, index):
-        model.item_embedding.weight.data += 0.5
+        with model.item_embedding.weight.write() as data:
+            data += 0.5
         retriever = Retriever(model, index, validate=False)
         assert retriever.recommend(0, top_n=3).size > 0
 
@@ -142,7 +145,8 @@ class TestScorerAccounting:
         assert finite == scorer.scored_items
 
     def test_rebuilt_index_accepted_after_model_change(self, model, index):
-        model.item_embedding.weight.data += 0.5
+        with model.item_embedding.weight.write() as data:
+            data += 0.5
         fresh = build_index(model, num_partitions=NUM_PARTITIONS, seed=0)
         scorer = ApproximateScorer(model, fresh, n_probe=2)
         assert np.isfinite(scorer.all_scores(np.array([0]))).any()

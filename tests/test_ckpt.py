@@ -149,7 +149,8 @@ class TestOptimizerState:
         params_c = self._params()
         opt_c = factory(params_c)
         for param, array in zip(params_c, saved["params"]):
-            param.data[...] = array
+            with param.write() as data:
+                data[...] = array
         opt_c.load_state_dict(saved["optimizer"])
         for seed in range(2, 4):
             self._step(opt_c, params_c, seed)

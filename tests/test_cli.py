@@ -130,6 +130,21 @@ class TestMetricsExport:
             assert samples["repro_serve_retrieval_served_total"] == live
 
 
+    def test_pooled_serve_writes_trace(self, tmp_path):
+        """``--workers N --trace-out`` exports spans like a single run."""
+        from repro.serve.__main__ import main as serve_main
+
+        path = tmp_path / "pool.jsonl"
+        assert serve_main([
+            "--dataset", "hetrec-del", "--method", "BPRMF",
+            "--scale", "0.02", "--epochs", "1", "--embed-dim", "8",
+            "--batch-size", "256", "--requests", "40", "--workers", "2",
+            "--rps", "400", "--trace-out", str(path),
+        ]) == 0
+        assert path.exists()
+        assert path.stat().st_size > 0
+
+
 class TestValidation:
     def test_checkpoint_every_zero_fails_before_training(self, tmp_path):
         import os

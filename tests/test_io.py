@@ -174,7 +174,8 @@ class TestAllModelsRoundtrip:
 
         noise = np.random.default_rng(123)
         for param in model.parameters():
-            param.data += noise.normal(scale=0.5, size=param.data.shape)
+            with param.write() as data:
+                data += noise.normal(scale=0.5, size=param.data.shape)
         load_model(model, path)
         np.testing.assert_array_equal(expected, model.all_scores(users))
 
